@@ -63,10 +63,15 @@ A scoring request passes three gates before it touches the micro-batcher:
    at a time; excess load is shed as fast ``429``s, so p99 of the admitted
    stays bounded instead of every request sharing a collapsing queue.
 
-Admitted requests run under ``request_timeout_s``; a timeout answers ``504``
-and *abandons* the scoring future — the micro-batcher detects the cancelled
-future, skips resolving it, and still caches the computed probability, so an
-expired request never poisons its batch and a retry is a verdict-cache hit.
+A verdict the cache already holds is answered inline once the request is
+admitted: no Task, no timer and no hop back from another thread, so it never
+arms the request budget.  Only work that waits — a verdict the micro-batcher
+still has to compute, an explanation, an analysis, a ``/score/batch`` pass,
+or the node fetch of ``/score/address`` — runs under ``request_timeout_s``.
+A timeout answers ``504`` and *abandons* the scoring future — the
+micro-batcher detects the cancelled future, skips resolving it, and still
+caches the computed probability, so an expired request never poisons its
+batch and a retry is a verdict-cache hit.
 
 :meth:`Gateway.stop` drains gracefully: the listening socket closes first,
 in-flight requests run to completion (new requests on kept-alive connections
@@ -76,6 +81,7 @@ get ``503 draining``), then idle connections are torn down.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import math
 import threading
@@ -132,8 +138,10 @@ class GatewayConfig:
         rate_limit_per_s: Per-client token-bucket refill rate; ``0``
             disables rate limiting.
         rate_burst: Token-bucket capacity (burst size) per client.
-        request_timeout_s: Per-request budget of an admitted scoring
-            request; expiry answers ``504``.
+        request_timeout_s: Budget of the work an admitted scoring request
+            waits for (node fetch, micro-batcher, explanation, analysis,
+            batch pass); expiry answers ``504``.  A verdict already in the
+            cache is answered without arming it.
         drain_timeout_s: How long :meth:`Gateway.stop` waits for in-flight
             requests before tearing connections down.
         max_body_bytes: Largest accepted request body (``413`` beyond).
@@ -321,7 +329,7 @@ class _Response:
         if self.text is not None:
             body = self.text.encode("utf-8")
         else:
-            body = json.dumps(self.payload, default=_json_default).encode("utf-8")
+            body = _JSON_ENCODER.encode(self.payload).encode("utf-8")
         keep = keep_alive and not self.close
         lines = [
             f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'Unknown')}",
@@ -342,6 +350,11 @@ def _json_default(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)!r}")
+
+
+# ``json.dumps(..., default=...)`` builds a new encoder on every call; the
+# encoder holds only its settings, so one serves every response.
+_JSON_ENCODER = json.JSONEncoder(default=_json_default)
 
 
 class _HttpError(Exception):
@@ -750,26 +763,41 @@ class Gateway:
                 headers=(("retry-after", "1"),),
             )
 
-    async def _scored(self, request: _Request, make_work, tokens: int = 1):
-        """Run admitted scoring work inside the inflight/timeout gates.
+    async def _scored(
+        self, request: _Request, route: str, trace, work, tokens: int = 1
+    ):
+        """Run one scoring request through the gates, feeding the slow log.
 
-        ``make_work`` is a zero-argument factory returning the awaitable, so
-        a rejected request never instantiates (and leaks) a coroutine.
+        ``work`` is called once the request is admitted.  It returns the
+        response body when nothing has to wait — a verdict the cache already
+        held, served with no Task, no timer and no loop wakeup — or else an
+        awaitable, which runs under ``request_timeout_s`` in the connection
+        task.  A rejected request never calls ``work``, so it never
+        instantiates (and leaks) a coroutine.
         """
-        self._admit(request, tokens)
-        self._inflight += 1
-        self._peak_inflight = max(self._peak_inflight, self._inflight)
         try:
-            return await asyncio.wait_for(make_work(), self.config.request_timeout_s)
-        except asyncio.TimeoutError:
-            self._timeouts += 1
-            raise _HttpError(
-                504,
-                "timeout",
-                f"request exceeded the {self.config.request_timeout_s}s budget",
-            )
-        finally:
-            self._inflight -= 1
+            self._admit(request, tokens)
+            self._inflight += 1
+            self._peak_inflight = max(self._peak_inflight, self._inflight)
+            try:
+                result = work()
+                if inspect.isawaitable(result):
+                    async with asyncio.timeout(self.config.request_timeout_s):
+                        result = await result
+            except TimeoutError:
+                self._timeouts += 1
+                raise _HttpError(
+                    504,
+                    "timeout",
+                    f"request exceeded the {self.config.request_timeout_s}s budget",
+                )
+            finally:
+                self._inflight -= 1
+        except _HttpError as exc:
+            self.slow_log.record(trace, route, exc.response.status)
+            raise
+        self.slow_log.record(trace, route, 200)
+        return result
 
     # ------------------------------------------------------------------
     # request bodies
@@ -836,41 +864,88 @@ class Gateway:
             "latency_ms": verdict.latency_ms,
         }
 
-    async def _score_one(
+    def _score_one(
         self,
         code: bytes,
-        address: Optional[str],
         explain: bool,
-        analyze: bool = False,
-        trace: Optional[obs_trace.Trace] = None,
-    ) -> dict:
-        """Score (and optionally explain/analyze) one bytecode off the loop.
+        analyze: bool,
+        trace: obs_trace.Trace,
+    ):
+        """Submit one bytecode; answer inline when nothing has to wait.
 
-        The model pass happens on the micro-batcher thread behind the
-        submitted future; the SHAP estimation and the static-analysis pass
-        run in the default executor — the loop stays free to shed the next
-        wave of requests either way.  ``trace`` is activated around the
-        whole handler, so the submit path captures it into the batcher's
-        pending record and the executor stages record spans into it.
+        ``submit`` runs with ``trace`` active, so a verdict-cache miss
+        captures it into the batcher's pending record.  A hit comes back
+        already resolved; without explain or analyze its body is built
+        right here.  Otherwise this returns the coroutine that finishes
+        the request.
         """
         gateway_started = time.perf_counter()
         with obs_trace.activate(trace):
-            verdict = await asyncio.wrap_future(self.service.submit(code))
-            payload = self._verdict_payload(verdict, address)
-            loop = asyncio.get_running_loop()
-            if explain:
-                stage_started = time.perf_counter()
-                payload["reasons"] = await loop.run_in_executor(
-                    None, self.explainer.explain, code, self.config.explain_top_k
-                )
-                obs_trace.record_span("explain", stage_started, time.perf_counter())
-            if analyze:
-                stage_started = time.perf_counter()
-                report = await loop.run_in_executor(None, self.analyzer.analyze, code)
-                payload["analysis"] = report.to_dict()
-                obs_trace.record_span("analysis", stage_started, time.perf_counter())
-        if trace is not None:
+            future = self.service.submit(code)
+        if future.done() and not (explain or analyze):
+            payload = self._verdict_payload(future.result())
             trace.record("gateway", gateway_started, time.perf_counter())
+            return payload
+        return self._finish_one(
+            future, code, None, explain, analyze, trace, gateway_started
+        )
+
+    async def _fetch_and_score(
+        self, address: str, explain: bool, analyze: bool, trace: obs_trace.Trace
+    ) -> dict:
+        """Fetch ``address``'s code off the loop, then score it.
+
+        The node call may block (a real RPC round trip), so it runs in the
+        default executor under the same budget as the scoring work.
+        """
+        gateway_started = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        code = await loop.run_in_executor(None, self.service.node.get_code, address)
+        if not code:
+            raise _HttpError(
+                404, "unknown_address", f"no contract code deployed at {address}"
+            )
+        with obs_trace.activate(trace):
+            future = self.service.submit(code)
+        return await self._finish_one(
+            future, code, address, explain, analyze, trace, gateway_started
+        )
+
+    async def _finish_one(
+        self,
+        future,
+        code: bytes,
+        address: Optional[str],
+        explain: bool,
+        analyze: bool,
+        trace: obs_trace.Trace,
+        gateway_started: float,
+    ) -> dict:
+        """Wait for a verdict, then explain/analyze it, off the loop.
+
+        The model pass happens on the micro-batcher thread behind
+        ``future``; the SHAP estimation and the static-analysis pass run in
+        the default executor — the loop stays free to shed the next wave of
+        requests either way.
+        """
+        if future.done():
+            verdict = future.result()
+        else:
+            verdict = await asyncio.wrap_future(future)
+        payload = self._verdict_payload(verdict, address)
+        loop = asyncio.get_running_loop()
+        if explain:
+            stage_started = time.perf_counter()
+            payload["reasons"] = await loop.run_in_executor(
+                None, self.explainer.explain, code, self.config.explain_top_k
+            )
+            trace.record("explain", stage_started, time.perf_counter())
+        if analyze:
+            stage_started = time.perf_counter()
+            report = await loop.run_in_executor(None, self.analyzer.analyze, code)
+            payload["analysis"] = report.to_dict()
+            trace.record("analysis", stage_started, time.perf_counter())
+        trace.record("gateway", gateway_started, time.perf_counter())
         return payload
 
     def _require_explainer(self) -> None:
@@ -911,17 +986,12 @@ class Gateway:
             raise _HttpError(
                 503, "no_node", "gateway's scoring service has no RPC node attached"
             )
-        code = self.service.node.get_code(address)
-        if not code:
-            raise _HttpError(
-                404, "unknown_address", f"no contract code deployed at {address}"
-            )
         trace = obs_trace.new_trace()
-        body = await self._traced_score(
+        body = await self._scored(
             request,
             "/score/address",
             trace,
-            lambda: self._score_one(code, address, explain, analyze, trace=trace),
+            lambda: self._fetch_and_score(address, explain, analyze, trace),
         )
         if want_trace:
             body["trace"] = trace.to_dict()
@@ -938,27 +1008,15 @@ class Gateway:
             self._require_analyzer()
         want_trace = self._trace_flag(payload)
         trace = obs_trace.new_trace()
-        body = await self._traced_score(
+        body = await self._scored(
             request,
             "/score/bytecode",
             trace,
-            lambda: self._score_one(code, None, explain, analyze, trace=trace),
+            lambda: self._score_one(code, explain, analyze, trace),
         )
         if want_trace:
             body["trace"] = trace.to_dict()
         return _Response(200, body)
-
-    async def _traced_score(
-        self, request: _Request, route: str, trace, make_work, tokens: int = 1
-    ):
-        """Run :meth:`_scored` work, feeding the slow-request log either way."""
-        try:
-            result = await self._scored(request, make_work, tokens)
-        except _HttpError as exc:
-            self.slow_log.record(trace, route, exc.response.status)
-            raise
-        self.slow_log.record(trace, route, 200)
-        return result
 
     async def _score_batch(self, request: _Request) -> _Response:
         payload = self._json_body(request)
@@ -1001,11 +1059,11 @@ class Gateway:
             trace.record("gateway", gateway_started, time.perf_counter())
             return result
 
-        verdicts = await self._traced_score(
+        verdicts = await self._scored(
             request,
             "/score/batch",
             trace,
-            lambda: self._scored_batch_work(loop, scored_batch),
+            lambda: loop.run_in_executor(None, scored_batch),
             tokens=max(1, len(codes)),
         )
         body = {
@@ -1015,9 +1073,6 @@ class Gateway:
         if want_trace:
             body["trace"] = trace.to_dict()
         return _Response(200, body)
-
-    async def _scored_batch_work(self, loop, scored_batch):
-        return await loop.run_in_executor(None, scored_batch)
 
     async def _healthz(self, request: _Request) -> _Response:
         if self._draining:

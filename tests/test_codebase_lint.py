@@ -14,6 +14,8 @@ A small AST pass enforcing three rules across every production module:
 * no bare ``print(`` calls (diagnostic output goes through
   :mod:`repro.obs.log`, where it can be silenced, redirected, or stamped
   with the active trace id — stray prints pollute library users' stdout),
+* no ``asyncio.wait_for`` (on Python 3.11 it spawns a Task per call, which
+  the gateway paid on every request — use ``async with asyncio.timeout``),
 
 plus a ``compileall`` sweep pinning that every module byte-compiles.
 """
@@ -128,6 +130,25 @@ def test_no_bare_print_in_production_code():
             ):
                 offenders.append(_location(path, node))
     assert offenders == [], f"bare print() calls found in src/: {offenders}"
+
+
+def test_no_asyncio_wait_for_in_production_code():
+    """Deadlines use ``asyncio.timeout``; ``wait_for`` costs a Task per call."""
+    offenders = []
+    for path in _python_sources():
+        for node in ast.walk(_parse(path)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "wait_for"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "asyncio"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "asyncio"
+                and any(alias.name == "wait_for" for alias in node.names)
+            ):
+                offenders.append(_location(path, node))
+    assert offenders == [], f"asyncio.wait_for found in src/: {offenders}"
 
 
 def test_all_modules_byte_compile(tmp_path):

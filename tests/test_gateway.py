@@ -1,6 +1,6 @@
 """Tests for the asyncio HTTP gateway (``repro.serving.gateway`` / ``.explain``).
 
-Four surfaces, per the test-first program of PR 6:
+Five surfaces:
 
 * **HTTP protocol edge cases** — malformed framing, oversized/truncated
   bodies, unknown routes, wrong methods, bad addresses/hex: every failure
@@ -14,6 +14,9 @@ Four surfaces, per the test-first program of PR 6:
   explanations are seed-deterministic, and runtime threshold changes flip
   the verdict without invalidating cached SHAP values.
 * **Verdict shape** — probability, 0–100 score, threshold verdict, reasons.
+* **Resolved lane** — verdict-cache hits are answered without a Task, a
+  timer or ``wrap_future``, behind the same gates and telemetry as work
+  that waits; the node fetch of ``/score/address`` runs off the loop.
 
 Everything runs on the dependency-free ``event_loop_thread`` conftest
 fixture (no pytest-asyncio): the server lives on a private loop thread and
@@ -22,11 +25,14 @@ tests speak real HTTP over ``http.client`` and raw sockets.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import socket
 import threading
 import time
+from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -39,6 +45,7 @@ from repro.core.config import Scale
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
 from repro.monitor.pipeline import MonitorStats
+from repro.serving import gateway as gateway_module
 from repro.serving import (
     ExplainerCache,
     ExplanationService,
@@ -998,3 +1005,371 @@ class TestAnalyze:
         status, _, body = request(gateway.port, "GET", "/stats")
         assert status == 200
         assert "analysis" not in body
+
+
+# ---------------------------------------------------------------------------
+# resolved lane: verdict-cache hits skip the asyncio scheduling machinery
+# ---------------------------------------------------------------------------
+
+
+class CountingAsyncio:
+    """Stand-in for the gateway module's ``asyncio`` counting selected calls."""
+
+    COUNTED = ("wrap_future", "timeout", "create_task", "ensure_future")
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(asyncio, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture()
+def counting_asyncio(monkeypatch):
+    counter = CountingAsyncio()
+    monkeypatch.setattr(gateway_module, "asyncio", counter)
+    return counter
+
+
+def post_bytecode(sock, code: bytes, **flags) -> tuple:
+    """One ``/score/bytecode`` exchange on a kept-alive raw socket."""
+    body = json.dumps({"bytecode": "0x" + code.hex(), **flags}).encode()
+    sock.sendall(
+        b"POST /score/bytecode HTTP/1.1\r\nhost: t\r\n"
+        + f"content-length: {len(body)}\r\n\r\n".encode()
+        + body
+    )
+    return recv_response(sock)
+
+
+def bytecode_latency_count(port) -> int:
+    """Observations of the ``/score/bytecode`` route latency histogram."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+    try:
+        conn.request("GET", "/metrics")
+        text = conn.getresponse().read().decode()
+    finally:
+        conn.close()
+    needle = 'repro_gateway_request_latency_seconds_count{route="/score/bytecode"} '
+    for line in text.splitlines():
+        if line.startswith(needle):
+            return int(float(line[len(needle):]))
+    return 0
+
+
+class SlowStage:
+    """An explainer/analyzer stub whose every call outlasts the budget."""
+
+    def __init__(self, delay_s: float):
+        self.delay_s = delay_s
+
+    def explain(self, code, top_k):
+        time.sleep(self.delay_s)
+        return []
+
+    def analyze(self, code):
+        time.sleep(self.delay_s)
+        return None
+
+
+class TestResolvedLane:
+    def test_cache_hit_creates_no_task_timer_or_wrap_future(
+        self, gateway, service, event_loop_thread, counting_asyncio, dataset
+    ):
+        cached, fresh = dataset.bytecodes[0], dataset.bytecodes[1]
+        service.score(cached)
+        created = []
+
+        def counting_factory(loop, coro):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop)
+
+        async def set_factory(factory):
+            asyncio.get_running_loop().set_task_factory(factory)
+
+        keeper = socket.create_connection(("127.0.0.1", gateway.port), timeout=10)
+        try:
+            keeper.sendall(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            assert recv_response(keeper)[0] == 200  # connection task exists
+            event_loop_thread.run(set_factory(counting_factory))
+            try:
+                status, _, body = post_bytecode(keeper, cached)
+                tasks_on_hit = len(created)
+            finally:
+                event_loop_thread.run(set_factory(None))
+            assert status == 200 and body["cached"] is True
+            assert tasks_on_hit == 0
+            assert sum(counting_asyncio.calls.values()) == 0
+
+            # A miss still waits on the micro-batcher under the budget.
+            status, _, body = post_bytecode(keeper, fresh)
+            assert status == 200 and body["cached"] is False
+            assert counting_asyncio.calls["wrap_future"] == 1
+            assert counting_asyncio.calls["timeout"] == 1
+        finally:
+            keeper.close()
+
+    def test_hit_feeds_peak_inflight_trace_slow_log_and_latency(
+        self, service, start_gateway, dataset
+    ):
+        gateway = start_gateway(service, config=GatewayConfig(slow_request_ms=0.0))
+        code = dataset.bytecodes[0]
+        service.score(code)
+        observed = bytecode_latency_count(gateway.port)
+        status, _, body = request(
+            gateway.port,
+            "POST",
+            "/score/bytecode",
+            body={"bytecode": "0x" + code.hex(), "trace": True},
+        )
+        assert status == 200 and body["cached"] is True
+        spans = [span["name"] for span in body["trace"]["spans"]]
+        assert spans == ["gateway"]  # no batch span: it never queued
+        stats = gateway.stats()
+        assert stats.peak_inflight == 1
+        assert stats.inflight == 0
+        slow = request(gateway.port, "GET", "/debug/slow")[2]
+        (entry,) = slow["entries"]
+        assert entry["route"] == "/score/bytecode"
+        assert entry["status"] == 200
+        assert entry["trace_id"] == body["trace"]["trace_id"]
+        assert [span["name"] for span in entry["spans"]] == ["gateway"]
+        assert bytecode_latency_count(gateway.port) == observed + 1
+
+    def test_hit_is_rate_limited_and_logged(self, service, start_gateway, dataset):
+        now = [0.0]
+        config = GatewayConfig(rate_limit_per_s=1.0, rate_burst=1, slow_request_ms=0.0)
+        gateway = start_gateway(service, config=config, clock=lambda: now[0])
+        code = dataset.bytecodes[0]
+        service.score(code)
+        payload = {"bytecode": "0x" + code.hex()}
+        assert request(gateway.port, "POST", "/score/bytecode", body=payload)[0] == 200
+        result = request(gateway.port, "POST", "/score/bytecode", body=payload)
+        assert_error(result, 429, "rate_limited")
+        assert result[1]["retry-after"] == "1"
+        now[0] += 1.0
+        assert request(gateway.port, "POST", "/score/bytecode", body=payload)[0] == 200
+        assert gateway.stats().rate_limited == 1
+        entries = request(gateway.port, "GET", "/debug/slow")[2]["entries"]
+        assert [entry["status"] for entry in entries] == [200, 429, 200]
+
+    def test_hit_is_shed_at_the_inflight_bound(
+        self, fitted_detector, start_gateway, dataset
+    ):
+        slow = SlowDetector(fitted_detector, delay_s=0.5)
+        with ScoringService(slow, config=ServingConfig(max_wait_ms=1.0)) as service:
+            cached = dataset.bytecodes[1]
+            service.score(cached)
+            gateway = start_gateway(service, config=GatewayConfig(max_inflight=1))
+            results = {}
+
+            def pending():
+                results["pending"] = request(
+                    gateway.port,
+                    "POST",
+                    "/score/bytecode",
+                    body={"bytecode": "0x" + dataset.bytecodes[0].hex()},
+                )
+
+            thread = threading.Thread(target=pending)
+            thread.start()
+            time.sleep(0.15)  # the miss holds the only inflight slot
+            shed = request(
+                gateway.port,
+                "POST",
+                "/score/bytecode",
+                body={"bytecode": "0x" + cached.hex()},
+            )
+            assert_error(shed, 429, "overloaded")
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert results["pending"][0] == 200
+            stats = gateway.stats()
+            assert stats.shed == 1
+            assert stats.peak_inflight == 1
+
+    def test_hit_answers_503_while_draining(
+        self, fitted_detector, start_gateway, event_loop_thread, dataset
+    ):
+        slow = SlowDetector(fitted_detector, delay_s=0.6)
+        with ScoringService(slow, config=ServingConfig(max_wait_ms=1.0)) as service:
+            cached = dataset.bytecodes[1]
+            service.score(cached)
+            gateway = start_gateway(service)
+            port = gateway.port
+            keeper = socket.create_connection(("127.0.0.1", port), timeout=10)
+            try:
+                assert post_bytecode(keeper, cached)[0] == 200
+                scorer = threading.Thread(
+                    target=lambda: request(
+                        port,
+                        "POST",
+                        "/score/bytecode",
+                        body={"bytecode": "0x" + dataset.bytecodes[0].hex()},
+                    )
+                )
+                scorer.start()
+                time.sleep(0.15)
+                stopper = threading.Thread(
+                    target=lambda: event_loop_thread.run(gateway.stop())
+                )
+                stopper.start()
+                time.sleep(0.1)  # drain has begun, the miss holds it open
+                status, headers, body = post_bytecode(keeper, cached)
+                assert status == 503
+                assert body["error"]["code"] == "draining"
+                assert headers["connection"] == "close"
+                scorer.join(timeout=10)
+                stopper.join(timeout=10)
+                assert not scorer.is_alive() and not stopper.is_alive()
+            finally:
+                keeper.close()
+
+    @pytest.mark.parametrize("flag", ["explain", "analyze"])
+    def test_hit_with_explain_or_analyze_waits_under_the_budget(
+        self, service, start_gateway, counting_asyncio, dataset, flag
+    ):
+        stage = SlowStage(delay_s=0.5)
+        gateway = start_gateway(
+            service,
+            config=GatewayConfig(request_timeout_s=0.1),
+            **{"explainer" if flag == "explain" else "analyzer": stage},
+        )
+        code = dataset.bytecodes[0]
+        service.score(code)
+        started = time.perf_counter()
+        result = request(
+            gateway.port,
+            "POST",
+            "/score/bytecode",
+            body={"bytecode": "0x" + code.hex(), flag: True},
+        )
+        assert_error(result, 504, "timeout")
+        assert time.perf_counter() - started < 0.45  # answered at the budget
+        assert gateway.stats().timeouts == 1
+        assert counting_asyncio.calls["timeout"] == 1
+        assert counting_asyncio.calls["wrap_future"] == 0  # verdict was ready
+
+
+class TestWaitingLane:
+    def test_stop_cancelling_a_pending_verdict_is_not_a_timeout(
+        self, fitted_detector, start_gateway, event_loop_thread, dataset
+    ):
+        slow = SlowDetector(fitted_detector, delay_s=1.0)
+        with ScoringService(slow, config=ServingConfig(max_wait_ms=1.0)) as service:
+            gateway = start_gateway(
+                service,
+                config=GatewayConfig(request_timeout_s=10.0, drain_timeout_s=0.05),
+            )
+            outcome = {}
+
+            def pending():
+                try:
+                    outcome["result"] = request(
+                        gateway.port,
+                        "POST",
+                        "/score/bytecode",
+                        body={"bytecode": "0x" + dataset.bytecodes[0].hex()},
+                    )
+                except (http.client.HTTPException, OSError) as exc:
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=pending)
+            thread.start()
+            time.sleep(0.2)  # the verdict is pending inside the model pass
+            event_loop_thread.run(gateway.stop())
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            # Torn down by the drain, not answered: no 504 was sent.
+            assert "error" in outcome
+            stats = gateway.stats()
+            assert stats.timeouts == 0
+            assert stats.inflight == 0
+            assert stats.responses_server_error == 0
+
+
+class StalledNode:
+    """An RPC node whose ``get_code`` blocks until released."""
+
+    def __init__(self, code: bytes):
+        self.code = code
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get_code(self, address: str) -> bytes:
+        self.entered.set()
+        self.release.wait(timeout=10)
+        return self.code
+
+
+class TestAddressFetch:
+    def test_stalled_node_answers_504_without_freezing_the_loop(
+        self, fitted_detector, start_gateway, dataset
+    ):
+        node = StalledNode(dataset.bytecodes[0])
+        with ScoringService(fitted_detector, node=node) as service:
+            gateway = start_gateway(
+                service, config=GatewayConfig(request_timeout_s=0.5)
+            )
+            results = {}
+
+            def stalled():
+                results["stalled"] = request(
+                    gateway.port,
+                    "POST",
+                    "/score/address",
+                    body={"address": "0x" + "ab" * 20},
+                )
+
+            thread = threading.Thread(target=stalled)
+            thread.start()
+            try:
+                assert node.entered.wait(timeout=10)
+                started = time.perf_counter()
+                status, _, body = request(gateway.port, "GET", "/healthz")
+                assert status == 200 and body["inflight"] == 1
+                assert time.perf_counter() - started < 0.4  # not behind the fetch
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert_error(results["stalled"], 504, "timeout")
+                assert gateway.stats().timeouts == 1
+            finally:
+                node.release.set()
+                thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# response encoding
+# ---------------------------------------------------------------------------
+
+
+class TestResponseEncoding:
+    def test_shared_encoder_matches_json_dumps(self, gateway, service, dataset):
+        verdict = gateway_module.Gateway._verdict_payload(
+            service.score(dataset.bytecodes[0]), "0x" + "12" * 20
+        )
+        error = gateway_module._HttpError(429, "overloaded", "at capacity")
+        stats = {
+            "gateway": asdict(gateway.stats()),
+            "service": asdict(service.stats()),
+            "numpy": {
+                "count": np.int64(7),
+                "share": np.float32(0.25),
+                "ratio": np.float64(1 / 3),
+                "rows": np.arange(4, dtype=np.int32),
+                "grid": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+            },
+        }
+        for payload in (verdict, error.response.payload, stats):
+            expected = json.dumps(payload, default=gateway_module._json_default)
+            encoded = gateway_module._Response(200, payload).encode(True)
+            assert encoded.endswith(b"\r\n\r\n" + expected.encode("utf-8"))
+            assert f"content-length: {len(expected)}".encode() in encoded
