@@ -87,3 +87,22 @@ def best_time(function, repeats=3):
         result = function()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def interleaved_best(passes, rounds: int = 7):
+    """Best wall clock per arm, arms interleaved round-robin.
+
+    Timing the arms back-to-back lets one noisy scheduling period land
+    entirely on one arm and skew the ratio; cycling through every arm each
+    round spreads machine noise evenly, and best-of-rounds then discards
+    it.
+    """
+    import time
+
+    best = [float("inf")] * len(passes)
+    for _ in range(rounds):
+        for index, one_pass in enumerate(passes):
+            start = time.perf_counter()
+            one_pass()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best

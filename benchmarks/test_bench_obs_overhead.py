@@ -20,11 +20,9 @@ because they are *opt-in* per request at this layer):
   collector, the price a Prometheus poller pays off the request path.
 """
 
-import time
-
 import numpy as np
 
-from conftest import best_time
+from conftest import best_time, interleaved_best
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
 from repro.obs import MetricsRegistry, NullRegistry, SlowRequestLog
@@ -39,23 +37,6 @@ def _request_stream(dataset, n_requests: int = 400, seed: int = 9):
     codes = dataset.bytecodes
     picks = rng.integers(0, max(1, len(codes) // 4), size=n_requests)
     return [codes[int(i)] for i in picks]
-
-
-def _interleaved_best(passes, rounds: int = 7):
-    """Best wall clock per arm, arms interleaved round-robin.
-
-    Timing the arms back-to-back lets one noisy scheduling period land
-    entirely on one arm and skew the ratio; cycling
-    ``uninstrumented → instrumented → traced`` each round spreads machine
-    noise evenly, and best-of-rounds then discards it.
-    """
-    best = [float("inf")] * len(passes)
-    for _ in range(rounds):
-        for index, one_pass in enumerate(passes):
-            start = time.perf_counter()
-            one_pass()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
 
 
 def test_bench_obs_overhead(benchmark, dataset):
@@ -98,7 +79,7 @@ def test_bench_obs_overhead(benchmark, dataset):
             slow_log.record(trace, "/score/bytecode", 200)
 
     benchmark.pedantic(instrumented_pass, rounds=3, iterations=1)
-    null_time, instrumented_time, traced_time = _interleaved_best(
+    null_time, instrumented_time, traced_time = interleaved_best(
         [uninstrumented_pass, instrumented_pass, traced_pass]
     )
     null_service.close()

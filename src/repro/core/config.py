@@ -43,10 +43,10 @@ class Scale:
     ``corpus_blob_dir`` turns on the zero-copy corpus plane
     (:class:`~repro.features.corpus.CorpusBlob`): each store session builds
     (once) or opens the memmap-backed ``corpus-<fingerprint>.blob`` under
-    that directory and attaches it to the session service, so process
-    workers extract from ``(blob_path, span)`` lists instead of pickled
-    byte blobs and a corpus larger than RAM streams through the OS page
-    cache.  It composes with ``feature_cache_dir`` (which also enables
+    that directory and attaches it to the session service, so cache misses
+    are decoded straight from the memmap — process workers receive
+    ``(blob_path, spans)``, never the bytes — and a corpus larger than RAM
+    streams through the OS page cache.  It composes with ``feature_cache_dir`` (which also enables
     spill-on-evict under ``<feature_cache_dir>/spill``) but works without
     it.
 
@@ -82,9 +82,7 @@ class Scale:
     registry size of the address-impersonation detector.  The multi-chain
     supervisor (:class:`~repro.monitor.MultiChainMonitor`;
     :meth:`~repro.monitor.MultiChainConfig.from_scale` reads them) adds
-    ``monitor_chains``, the number of simulated chains it fans in, and
-    ``monitor_shards``, the shard count of its consistent-hash cache
-    router.
+    ``monitor_chains``, the number of simulated chains it fans in.
 
     The ``analysis_*`` knobs parameterise the static-analysis plane
     (:class:`~repro.analysis.StaticAnalyzer`;
@@ -127,7 +125,6 @@ class Scale:
     monitor_latency_window: int = 4096
     monitor_known_contracts: int = 512
     monitor_chains: int = 3
-    monitor_shards: int = 4
     analysis_report_cache: int = 4096
     analysis_proxy_depth: int = 1
     analysis_dead_ratio: float = 0.4

@@ -7,9 +7,8 @@ streams, so disassembly dominates extraction time.  The
 right representation for listings, gas profiling and the interpreter — but
 orders of magnitude too slow for chain-scale feature extraction.
 
-This module provides single-pass bytes-level kernels that walk raw bytecode
-exactly once, with no per-instruction allocation, and are provably
-equivalent to the linear-sweep disassembler:
+This module provides bytes-level kernels with no per-instruction
+allocation that are provably equivalent to the linear-sweep disassembler:
 
 * every byte that starts an instruction is an instruction of its byte value;
 * ``PUSH1``..``PUSH32`` immediates are skipped (truncated-PUSH-aware: an
@@ -18,24 +17,24 @@ equivalent to the linear-sweep disassembler:
 * byte values that do not map to a defined Shanghai opcode are folded into
   the ``INVALID`` bin (0xFE), exactly as the disassembler reports them.
 
-Two output representations are supported:
-
-* **counts** (:func:`count_opcodes` / :func:`count_batch`) — a 256-bin
-  ``np.ndarray`` count vector, the histogram (HSC) view;
-* **sequences** (:func:`opcode_sequence` / :func:`sequence_batch`) — an
-  :class:`OpcodeSequence` of ``(opcode value, immediate width)`` arrays in
-  instruction order, from which the tokenizer, n-gram and frequency-image
-  views reconstruct the exact ``Disassembler`` token stream without
-  re-disassembling.
-
-The only Python-level loop visits PUSH *instructions* (not bytes); batches
-resolve every instruction start with vectorized pointer doubling.
+There is one batch kernel, :func:`sequence_buffer`: it decodes codes laid
+back to back in one uint8 buffer (an in-memory staging buffer or a
+read-only ``numpy.memmap`` slice of a corpus blob) into
+:class:`PackedSequences` — the ``(opcode value, immediate width)`` arrays of
+every instruction, from which the tokenizer, n-gram, frequency-image and
+static-analysis views reconstruct the exact ``Disassembler`` token stream,
+and whose :meth:`PackedSequences.counts` is the 256-bin histogram (HSC)
+view.  :func:`count_many` / :func:`sequence_many` wrap it for plain
+bytecode lists.  The per-code kernels :func:`count_opcodes` and
+:func:`opcode_sequence` stay as the single-bytecode entry points of
+:mod:`repro.evm.cfg` and as the reference the batch kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -123,73 +122,6 @@ def count_opcodes(bytecode: BytecodeLike) -> np.ndarray:
         counts[UNDEFINED_VALUES] = 0
         counts[INVALID_BIN] += undefined_total
     return counts
-
-
-def _instruction_starts(
-    big: np.ndarray, lengths: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of instruction-start bytes in a concatenated code buffer.
-
-    Linear-sweep disassembly is a chain: the start of instruction *k+1* is
-    ``start_k + 1 + operand_size``.  Instead of walking that chain in Python,
-    compute every byte's hypothetical successor pointer (``i + 1`` plus the
-    PUSH immediate width, clamped to a sentinel at the owning code's end) and
-    propagate reachability from the code starts by pointer doubling: after
-    round *r* the mask holds all bytes reachable within ``2^r - 1`` steps and
-    the jump table holds ``next^(2^r)``, so ``ceil(log2(max_len)) + 1``
-    rounds of pure-NumPy gathers resolve every chain.
-    """
-    n_bytes = big.shape[0]
-    successor = np.arange(1, n_bytes + 1, dtype=np.int64)
-    push_mask = (big >= _FIRST_PUSH) & (big <= _LAST_PUSH)
-    successor[push_mask] += big[push_mask].astype(np.int64) - 0x5F
-    boundary = np.repeat(ends, lengths)
-    # Sentinel n_bytes: the chain of this code is exhausted (a truncated PUSH
-    # immediate never bleeds into the next code).
-    jump = np.append(np.where(successor < boundary, successor, n_bytes), n_bytes)
-    mark = np.zeros(n_bytes + 1, dtype=bool)
-    starts = ends - lengths
-    mark[starts[lengths > 0]] = True
-    max_len = int(lengths.max())
-    rounds = max(1, int(np.ceil(np.log2(max(max_len, 2)))) + 1)
-    for _ in range(rounds):
-        mark[jump[np.flatnonzero(mark)]] = True
-        jump = jump[jump]
-    return mark[:-1]
-
-
-def count_batch(codes: Sequence[bytes]) -> np.ndarray:
-    """Batched kernel: ``(n, 256)`` opcode counts for already-normalised codes.
-
-    All codes are concatenated into one buffer so the whole batch reduces to
-    a handful of NumPy passes: one vectorized instruction-start resolution
-    (:func:`_instruction_starts`) and one ``np.bincount`` over
-    ``owner * 256 + byte``.  Per-call overhead amortises across the batch,
-    which is what makes small real-world contracts fast to sweep.
-    """
-    n = len(codes)
-    counts = np.zeros((n, 256), dtype=np.int64)
-    if n == 0:
-        return counts
-    lengths = np.array([len(code) for code in codes], dtype=np.int64)
-    blob = b"".join(codes)
-    if not blob:
-        return counts
-    big = np.frombuffer(blob, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    keep = _instruction_starts(big, lengths, ends)
-    owners = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    flat = np.bincount(owners[keep] * 256 + big[keep], minlength=n * 256)
-    counts = flat.reshape(n, 256).astype(np.int64, copy=False)
-    extra = counts[:, UNDEFINED_VALUES].sum(axis=1)
-    counts[:, UNDEFINED_VALUES] = 0
-    counts[:, INVALID_BIN] += extra
-    return counts
-
-
-def count_many(bytecodes: Iterable[BytecodeLike]) -> np.ndarray:
-    """Stack opcode counts over ``bytecodes`` into an ``(n, 256)`` matrix."""
-    return count_batch([normalize_bytecode(bytecode) for bytecode in bytecodes])
 
 
 # ----------------------------------------------------------------------------
@@ -287,72 +219,14 @@ def opcode_sequence(bytecode: BytecodeLike) -> OpcodeSequence:
     return _sequence_raw(normalize_bytecode(bytecode))
 
 
-def sequence_batch(codes: Sequence[bytes]) -> List[OpcodeSequence]:
-    """Batched sequence kernel for already-normalised codes.
-
-    Instruction starts for the whole batch are resolved in one vectorized
-    pointer-doubling pass over the concatenated buffer
-    (:func:`_instruction_starts`); the per-code split is a single
-    ``searchsorted`` plus one slice pair per code.
-    """
-    n = len(codes)
-    if n == 0:
-        return []
-    lengths = np.array([len(code) for code in codes], dtype=np.int64)
-    blob = b"".join(codes)
-    if not blob:
-        return [_EMPTY_SEQUENCE] * n
-    big = np.frombuffer(blob, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    starts_global = np.flatnonzero(_instruction_starts(big, lengths, ends))
-    boundaries = np.searchsorted(starts_global, ends)
-    sequences: List[OpcodeSequence] = []
-    cursor = 0
-    for index in range(n):
-        stop = int(boundaries[index])
-        if stop == cursor:
-            sequences.append(_EMPTY_SEQUENCE)
-            continue
-        offset = int(ends[index] - lengths[index])
-        local_starts = starts_global[cursor:stop] - offset
-        sequences.append(
-            _sequence_from_starts(
-                big[offset : int(ends[index])], local_starts, int(lengths[index])
-            )
-        )
-        cursor = stop
-    return sequences
-
-
-def sequence_many(bytecodes: Iterable[BytecodeLike]) -> List[OpcodeSequence]:
-    """Sequences of ``bytecodes`` (normalising hex/bytes inputs first)."""
-    return sequence_batch([normalize_bytecode(bytecode) for bytecode in bytecodes])
-
-
-# ----------------------------------------------------------------------------
-# Buffer kernels (the zero-copy corpus-blob span path)
-# ----------------------------------------------------------------------------
-#
-# The batch kernels above take a list of ``bytes`` objects and concatenate
-# them; the buffer kernels below take the concatenation *directly* — a uint8
-# array (typically a read-only ``numpy.memmap`` slice of a
-# :class:`~repro.features.corpus.CorpusBlob`) plus per-code lengths — so a
-# worker extracting blob spans never materialises one ``bytes`` copy.  They
-# also resolve instruction starts over PUSH *candidates* instead of all
-# bytes (:func:`_instruction_starts_sparse`), and return *packed* results
-# (:class:`PackedSequences`) with no per-code Python loop, which is what
-# makes span extraction faster than the pickled-chunk path even on one core.
-
-
 def _instruction_starts_sparse(
     buffer: np.ndarray, lengths: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
     """Sorted global offsets of every instruction start in ``buffer``.
 
-    Equivalent to ``np.flatnonzero(_instruction_starts(...))`` but resolved
-    over the PUSH-valued byte positions only: a byte is *not* an instruction
-    start iff it sits inside the immediate of a reachable PUSH, so it
-    suffices to decide reachability for the PUSH *candidates* (every
+    Resolved over the PUSH-valued byte positions only: a byte is *not* an
+    instruction start iff it sits inside the immediate of a reachable PUSH,
+    so it suffices to decide reachability for the PUSH *candidates* (every
     push-valued byte, real or immediate garbage) and subtract their covered
     immediate ranges.  Candidate chains are resolved by pointer doubling
     over the candidate array — typically 4-8x smaller than the byte buffer —
@@ -410,10 +284,11 @@ class PackedSequences:
 
     ``opcodes`` and ``widths`` are the concatenated per-instruction arrays
     of every code in order, and ``lengths[i]`` is the instruction count of
-    code *i* — the split points.  This is the wire format of the span-passing
-    process workers: one pickle of three contiguous buffers replaces one
-    pickle per :class:`OpcodeSequence` (two tiny arrays each), and
-    :meth:`split` rebuilds the exact per-code sequences on the parent side.
+    code *i* — the split points.  This is the result of every kernel task,
+    and the wire format of process workers: one pickle of three contiguous
+    buffers replaces one pickle per :class:`OpcodeSequence` (two tiny arrays
+    each), and :meth:`split` rebuilds the exact per-code sequences on the
+    parent side.
     """
 
     opcodes: np.ndarray
@@ -473,8 +348,8 @@ def sequence_buffer(buffer: np.ndarray, lengths: np.ndarray) -> PackedSequences:
     ``buffer`` holds the codes back to back (``lengths`` are their byte
     sizes, summing to ``buffer.shape[0]``); a read-only ``numpy.memmap``
     slice works as-is, so blob-span workers never copy the corpus bytes.
-    Per-code results are bit-identical to :func:`sequence_batch` on the
-    equivalent ``bytes`` list (pinned by the equivalence tests).
+    Per-code results are bit-identical to :func:`opcode_sequence` on each
+    code (pinned by the differential property tests).
     """
     lengths = _checked_lengths(buffer, lengths)
     n = lengths.shape[0]
@@ -501,28 +376,22 @@ def sequence_buffer(buffer: np.ndarray, lengths: np.ndarray) -> PackedSequences:
     )
 
 
-def count_buffer(buffer: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``(n, 256)`` count kernel over an already-concatenated uint8 buffer.
+def pack_codes(codes: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(buffer, lengths)`` of already-normalised ``codes`` laid back to back."""
+    lengths = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
+    return np.frombuffer(b"".join(codes), dtype=np.uint8), lengths
 
-    The buffer-level analogue of :func:`count_batch`; bit-identical on the
-    equivalent ``bytes`` list.
-    """
-    lengths = _checked_lengths(buffer, lengths)
-    n = lengths.shape[0]
-    if n == 0 or buffer.shape[0] == 0:
-        return np.zeros((n, 256), dtype=np.int64)
-    buffer = np.ascontiguousarray(buffer).view(np.uint8)
-    ends = np.cumsum(lengths)
-    starts = _instruction_starts_sparse(buffer, lengths, ends)
-    owners = np.searchsorted(ends, starts, side="right")
-    flat = np.bincount(
-        owners * 256 + buffer[starts].astype(np.int64), minlength=n * 256
-    )
-    counts = flat.reshape(n, 256).astype(np.int64, copy=False)
-    extra = counts[:, UNDEFINED_VALUES].sum(axis=1)
-    counts[:, UNDEFINED_VALUES] = 0
-    counts[:, INVALID_BIN] += extra
-    return counts
+
+def count_many(bytecodes: Iterable[BytecodeLike]) -> np.ndarray:
+    """Stack opcode counts over ``bytecodes`` into an ``(n, 256)`` matrix."""
+    codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]
+    return sequence_buffer(*pack_codes(codes)).counts()
+
+
+def sequence_many(bytecodes: Iterable[BytecodeLike]) -> List[OpcodeSequence]:
+    """Sequences of ``bytecodes`` (normalising hex/bytes inputs first)."""
+    codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]
+    return sequence_buffer(*pack_codes(codes)).split()
 
 
 def mnemonic_sequence(bytecode: BytecodeLike) -> List[str]:

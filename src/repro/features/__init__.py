@@ -11,7 +11,7 @@ from .batch import (
     set_default_service,
     use_service,
 )
-from .corpus import CorpusBlob, CorpusBlobError, extract_blob_spans
+from .corpus import CorpusBlob, CorpusBlobError, extract_spans
 from .store import (
     FeatureStore,
     StoreSession,
@@ -48,7 +48,7 @@ __all__ = [
     "CacheWriteError",
     "CorpusBlob",
     "CorpusBlobError",
-    "extract_blob_spans",
+    "extract_spans",
     "FeatureStore",
     "StoreSession",
     "corpus_fingerprint",

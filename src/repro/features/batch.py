@@ -1,4 +1,4 @@
-"""Multi-view batch feature-extraction service around the vectorized kernels.
+"""Multi-view batch feature-extraction service around the buffer kernel.
 
 PhishingHook's model zoo consumes the *same* disassembled opcode stream four
 ways — opcode histograms (HSC), token-id sequences (GPT-2/T5), hex n-grams
@@ -7,57 +7,49 @@ is duplicate-heavy (EIP-1167 minimal proxy clones share bytecode bit-for-bit)
 and re-extracted many times (cross-validation folds, data splits, model
 families).  :class:`BatchFeatureService` exploits all of it:
 
-* **content-hash LRU caching** — every unique bytecode owns one cache entry
-  keyed by a digest of its normalised bytes.  The entry holds up to six
-  views: the 256-bin **count** vector, the **sequence**
-  (:class:`~repro.evm.fastcount.OpcodeSequence` of opcode values + immediate
-  widths), **n-gram codes** (integer codes of non-overlapping byte
-  groups), the two raw-byte views — the **byte-count** histogram
-  (ESCORT's embedding input) and **R2D2 images** (per image size; both
-  memory-only, recomputed rather than persisted) — and the **analysis**
-  vector (the :data:`~repro.evm.cfg.CFG_METRIC_NAMES` static-analysis
-  metrics, derived from the cached sequence and persisted).  Counts are
-  derived from a cached sequence for free, so one
-  disassembly pass per unique bytecode feeds the histogram, tokenizer,
-  frequency-image and static-analysis extractors; the n-gram view never
-  needs a disassembly at all.  :attr:`BatchFeatureService.kernel_passes` counts the kernel results
-  installed into the cache (every kernel run when caching is disabled) —
-  the cost signal the one-disassembly-per-unique-bytecode property is
-  asserted on.
-* **chunked multi-worker batches** — cache misses are deduplicated and
-  dispatched in chunks to a ``concurrent.futures`` pool.  Two executor
-  backends are supported (``executor="thread"``, the default, and
-  ``executor="process"``): threads overlap usefully without pickling while
-  the kernels spend their time in NumPy, whereas a process pool ships the
-  chunk byte blobs to worker interpreters running the
-  :mod:`repro.evm.fastcount` kernels and merges the returned count/sequence
-  arrays back into the parent cache — sidestepping the GIL-bound
-  per-chunk Python overhead on multi-GB corpora.  Both backends produce
-  bit-identical results (pinned by the equivalence tests);
-* **zero-copy corpus spans** — with a
-  :class:`~repro.features.corpus.CorpusBlob` attached, misses the blob
-  indexes skip the byte blobs entirely: workers receive
-  ``(blob_path, [(start, stop), ...])`` span lists, open the blob once per
-  process as a read-only ``numpy.memmap``, and return *packed* results
-  (one :class:`~repro.evm.fastcount.PackedSequences` or count matrix per
-  task), so corpus bytes never cross the pipe in either direction and a
-  corpus that dwarfs RAM streams through the OS page cache;
-* **spill-on-evict caching** — with a spill directory configured, the LRU
-  writes an evicted entry's persistable views to a content-addressed
-  spill file instead of dropping them, and every view getter falls back
-  to a spill read before declaring a miss (``CacheStats.spills`` /
-  ``spill_hits``) — eviction stops meaning recompute;
+* **one content-hash LRU, one view table** — every unique bytecode owns one
+  cache entry keyed by a digest of its normalised bytes.  The entry holds
+  up to six views (:data:`VIEWS`): the 256-bin opcode ``counts``, the
+  ``sequences`` (:class:`~repro.evm.fastcount.OpcodeSequence` of opcode
+  values + immediate widths), the ``ngrams`` (integer codes of
+  non-overlapping byte groups, per group size), the raw-byte ``bytes``
+  histogram (ESCORT's embedding input) and ``images`` (R2D2 tensors, per
+  image size), and the ``analysis`` vector (the
+  :data:`~repro.evm.cfg.CFG_METRIC_NAMES` static-analysis metrics).  One
+  lookup and one install serve every view, keyed by ``(view, parameter)``,
+  with one :class:`CacheStats` per view.  Counts binned out of a cached
+  sequence are a hit, so one disassembly pass per unique bytecode feeds
+  the histogram, tokenizer, frequency-image and static-analysis
+  extractors; n-grams and the raw-byte views need no disassembly at all.
+  :attr:`BatchFeatureService.kernel_passes` counts the kernel results
+  installed into the cache (every kernel run when caching is disabled).
+* **one miss path** — deduplicated misses become spans over a uint8
+  buffer, decoded ``chunk_size`` codes per task by
+  :func:`~repro.features.corpus.extract_spans` into
+  :class:`~repro.evm.fastcount.PackedSequences`; counts come from
+  :meth:`~repro.evm.fastcount.PackedSequences.counts`.  Misses an attached
+  :class:`~repro.features.corpus.CorpusBlob` indexes are spans of its
+  memmap; the rest are staged into one in-memory buffer per task.  Tasks
+  run inline, on a thread pool (``executor="thread"``) or on a process
+  pool (``executor="process"``, which ships ``(blob_path, spans)`` or
+  ``(buffer, spans)`` and gets packed arrays back); every backend is
+  bit-identical (pinned by the equivalence tests).
+* **spill-on-evict caching** — with a spill directory configured, evicting
+  an entry writes its persistable views to a content-addressed one-entry
+  cache file instead of dropping them, and lookups fall back to that file
+  before declaring a miss (``CacheStats.spills`` / ``spill_hits``) —
+  eviction stops meaning recompute;
 * **array-based vocabulary projection** — a precomputed 256 → column index
   map replaces the per-mnemonic dict loop of the legacy extractor;
 * **on-disk persistence** — :meth:`BatchFeatureService.save` /
-  :meth:`BatchFeatureService.load` round-trip the count/sequence/n-gram
-  store (and the hit/miss statistics) through one ``.npz`` file, so repeated
-  experiment runs skip extraction entirely.  Corrupt or
-  incompatible-version files are rejected with :class:`CacheLoadError`;
-  unwritable targets raise :class:`CacheWriteError`.
-  :class:`~repro.features.store.FeatureStore` layers corpus-fingerprint
-  file resolution and load-or-create sessions on top, which is how the
-  experiment drivers get persistent warm starts.
+  :meth:`BatchFeatureService.load` round-trip the persistable views
+  (counts, sequences, n-grams, analysis) and the statistics through one
+  ``.npz`` file, so repeated experiment runs skip extraction entirely.
+  Corrupt or incompatible-version files are rejected with
+  :class:`CacheLoadError`; unwritable targets raise
+  :class:`CacheWriteError`.  :class:`~repro.features.store.FeatureStore`
+  layers corpus-fingerprint file resolution and load-or-create sessions on
+  top, which is how the experiment drivers get persistent warm starts.
 
 A process-wide default service (:func:`get_default_service`) lets every
 detector share one cache, which is what makes the scalability experiment's
@@ -71,17 +63,19 @@ cold service when end-to-end timings are needed (see
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, starmap
 from pathlib import Path
 from threading import Lock
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -100,10 +94,9 @@ from ..evm.disassembler import BytecodeLike, normalize_bytecode
 from ..evm.fastcount import (
     UNDEFINED_VALUES,
     OpcodeSequence,
+    PackedSequences,
     bins_for_mnemonics,
-    count_batch,
-    count_opcodes,
-    sequence_batch,
+    pack_codes,
 )
 from .rawbytes import byte_count_vector, r2d2_image_from_bytes
 
@@ -121,13 +114,34 @@ CACHE_FILE_MAGIC = "phishinghook-feature-cache"
 #: Bump when the on-disk layout changes; older files are rejected as stale.
 CACHE_FILE_VERSION = 1
 
-#: Format tag of per-entry spill files written on LRU eviction.
+#: Format tag of per-entry spill files written on LRU eviction.  A spill
+#: file is a one-entry cache file under this tag.
 SPILL_FILE_MAGIC = "phishinghook-feature-spill"
 #: Bump when the spill layout changes; stale files read as misses.
-SPILL_FILE_VERSION = 1
+SPILL_FILE_VERSION = 2
+
+#: Codes decoded per kernel task unless a service is told otherwise.
+DEFAULT_CHUNK_SIZE = 64
 
 #: Largest byte group the integer n-gram view supports (256**7 < 2**63).
 MAX_NGRAM_BYTES = 7
+
+#: Every cached view, in reporting order.
+VIEWS = ("counts", "sequences", "ngrams", "bytes", "images", "analysis")
+#: Views :meth:`BatchFeatureService.save` and spill files persist.  Byte
+#: counts and images are cheap to recompute and stay memory-only.
+PERSISTED_VIEWS = frozenset({"counts", "sequences", "ngrams", "analysis"})
+#: Views whose hits, misses and evictions the cache file records, in order
+#: (followed by ``kernel_passes``).
+_FILE_STAT_VIEWS = ("counts", "sequences", "ngrams")
+
+#: A view slot of a cache entry: ``(view, parameter)``, where the parameter
+#: is the n-gram group size or the image size and 0 for the other views.
+_Slot = Tuple[str, int]
+_COUNTS: _Slot = ("counts", 0)
+_SEQUENCES: _Slot = ("sequences", 0)
+_BYTES: _Slot = ("bytes", 0)
+_ANALYSIS: _Slot = ("analysis", 0)
 
 
 def content_key(code: bytes) -> bytes:
@@ -148,7 +162,7 @@ class CacheWriteError(RuntimeError):
     """A persistent cache file could not be written (bad path, full disk)."""
 
 
-#: Executor backends :meth:`BatchFeatureService._map_chunks` can dispatch to.
+#: Executor backends the kernel tasks of a :class:`BatchFeatureService` run on.
 EXECUTOR_BACKENDS = ("thread", "process")
 
 
@@ -234,31 +248,25 @@ class VocabularyProjection:
 
 @dataclass
 class _CacheEntry:
-    """All cached views of one unique bytecode.
+    """All cached views of one unique bytecode, keyed by :data:`_Slot`.
 
-    ``byte_counts`` and ``images`` are the raw-byte views (ESCORT embeddings
-    and R2D2 pixel tensors); like the n-gram view they involve no
-    disassembly, and unlike the other views they are memory-only — they are
-    cheap to recompute, so :meth:`BatchFeatureService.save` does not persist
-    them and eviction spilling skips them.  ``spilled`` records that the
-    entry's persistable views already live in an up-to-date spill file, so
-    re-evicting it after a spill reload writes nothing; installing a new
-    persistable view clears the flag.
+    ``spilled`` records that the entry's persistable views already live in
+    an up-to-date spill file, so re-evicting it after a spill reload writes
+    nothing; installing a new persistable view clears the flag.
     """
 
-    counts: Optional[np.ndarray] = None
-    sequence: Optional[OpcodeSequence] = None
-    ngrams: Dict[int, np.ndarray] = field(default_factory=dict)
-    byte_counts: Optional[np.ndarray] = None
-    images: Dict[int, np.ndarray] = field(default_factory=dict)
-    analysis: Optional[np.ndarray] = None
+    views: Dict[_Slot, object] = field(default_factory=dict)
     spilled: bool = False
 
 
-def _freeze_sequence(sequence: OpcodeSequence) -> OpcodeSequence:
-    sequence.opcodes.setflags(write=False)
-    sequence.widths.setflags(write=False)
-    return sequence
+def _freeze(value):
+    """Mark a cached view read-only (both arrays of a sequence)."""
+    if isinstance(value, OpcodeSequence):
+        value.opcodes.setflags(write=False)
+        value.widths.setflags(write=False)
+    else:
+        value.setflags(write=False)
+    return value
 
 
 def _gram_codes(code: bytes, bytes_per_gram: int) -> np.ndarray:
@@ -280,6 +288,202 @@ def _gram_codes(code: bytes, bytes_per_gram: int) -> np.ndarray:
     return grouped @ weights
 
 
+# ----------------------------------------------------------------------------
+# Cache file format (the store file and every spill file)
+# ----------------------------------------------------------------------------
+
+
+def _write_cache_file(
+    path: Union[str, Path],
+    items: Sequence[Tuple[bytes, Dict[_Slot, object]]],
+    stats: np.ndarray,
+    *,
+    magic: str,
+    version: int,
+) -> None:
+    """Write the persistable views of ``items`` (``(key, views)`` pairs).
+
+    Entries keep their order, so a reload preserves LRU order.  Raises
+    :class:`CacheWriteError` when the file cannot be written.
+    """
+    views = [slots for _, slots in items]
+    count_rows = [i for i, slots in enumerate(views) if _COUNTS in slots]
+    seq_rows = [i for i, slots in enumerate(views) if _SEQUENCES in slots]
+    sequences = [views[i][_SEQUENCES] for i in seq_rows]
+    analysis_rows = [i for i, slots in enumerate(views) if _ANALYSIS in slots]
+    ngrams = [
+        (i, size, slots[("ngrams", size)])
+        for i, slots in enumerate(views)
+        for size in sorted(size for view, size in slots if view == "ngrams")
+    ]
+    arrays: Dict[str, np.ndarray] = {
+        "stats": stats,
+        "keys": np.frombuffer(
+            b"".join(key for key, _ in items), dtype=np.uint8
+        ).reshape(len(items), 16),
+        "count_rows": np.array(count_rows, dtype=np.int64),
+        "count_data": (
+            np.stack([views[i][_COUNTS] for i in count_rows])
+            if count_rows
+            else np.zeros((0, 256), dtype=np.int64)
+        ),
+        "seq_rows": np.array(seq_rows, dtype=np.int64),
+        "seq_lengths": np.array([len(s) for s in sequences], dtype=np.int64),
+        # Sequences persist in their native uint8 (2 bytes per instruction);
+        # the reader is value-validated and casts, so dtype is not part of
+        # the format contract.
+        "seq_opcodes": (
+            np.concatenate([s.opcodes for s in sequences])
+            if sequences
+            else np.zeros(0, dtype=np.uint8)
+        ),
+        "seq_widths": (
+            np.concatenate([s.widths for s in sequences])
+            if sequences
+            else np.zeros(0, dtype=np.uint8)
+        ),
+        "ngram_rows": np.array([i for i, _, _ in ngrams], dtype=np.int64),
+        "ngram_sizes": np.array([size for _, size, _ in ngrams], dtype=np.int64),
+        "ngram_lengths": np.array(
+            [codes.shape[0] for _, _, codes in ngrams], dtype=np.int64
+        ),
+        "ngram_data": (
+            np.concatenate([codes for _, _, codes in ngrams])
+            if ngrams
+            else np.zeros(0, dtype=np.int64)
+        ),
+        # Optional in the reader: files written before the analysis view
+        # existed lack these two arrays and still load.
+        "analysis_rows": np.array(analysis_rows, dtype=np.int64),
+        "analysis_data": (
+            np.stack([views[i][_ANALYSIS] for i in analysis_rows])
+            if analysis_rows
+            else np.zeros((0, len(CFG_METRIC_NAMES)), dtype=np.float64)
+        ),
+    }
+    write_npz(path, arrays, magic=magic, version=version, error=CacheWriteError)
+
+
+def _read_cache_file(
+    path: Union[str, Path], *, magic: str, version: int
+) -> Tuple[List[Tuple[bytes, _CacheEntry]], np.ndarray]:
+    """``(entries, stats)`` of a file written by :func:`_write_cache_file`.
+
+    Every array is shape- and value-checked; any damage raises
+    :class:`CacheLoadError`.
+    """
+    required = {
+        "stats", "keys",
+        "count_rows", "count_data",
+        "seq_rows", "seq_lengths", "seq_opcodes", "seq_widths",
+        "ngram_rows", "ngram_sizes", "ngram_lengths", "ngram_data",
+    }
+    with open_validated_npz(
+        path, magic=magic, version=version, required=required, error=CacheLoadError
+    ) as data:
+        stats = np.asarray(data["stats"], dtype=np.int64)
+        if stats.shape != (3 * len(_FILE_STAT_VIEWS) + 1,):
+            raise CacheLoadError(f"cache file {path} has malformed stats")
+        keys_array = data["keys"]
+        if keys_array.ndim != 2 or keys_array.shape[1] != 16:
+            raise CacheLoadError(f"cache file {path} has malformed keys")
+        n = keys_array.shape[0]
+        entries: List[Tuple[bytes, _CacheEntry]] = [
+            (keys_array[i].astype(np.uint8).tobytes(), _CacheEntry())
+            for i in range(n)
+        ]
+
+        def valid_rows(rows: np.ndarray) -> bool:
+            return bool(((rows >= 0) & (rows < n)).all())
+
+        count_rows = data["count_rows"]
+        count_data = data["count_data"]
+        if (
+            count_data.shape != (count_rows.shape[0], 256)
+            or not valid_rows(count_rows)
+            or (count_data.size and (count_data < 0).any())
+        ):
+            raise CacheLoadError(f"cache file {path} has malformed counts")
+        for row, vector in zip(count_rows.tolist(), count_data):
+            vector = np.array(vector, dtype=np.int64)
+            vector.setflags(write=False)
+            entries[row][1].views[_COUNTS] = vector
+        seq_rows = data["seq_rows"].tolist()
+        seq_lengths = data["seq_lengths"]
+        seq_opcodes = data["seq_opcodes"]
+        seq_widths = data["seq_widths"]
+        total = int(seq_lengths.sum()) if seq_lengths.size else 0
+        if (
+            seq_lengths.shape[0] != len(seq_rows)
+            or seq_opcodes.shape[0] != total
+            or seq_widths.shape[0] != total
+            or not valid_rows(data["seq_rows"])
+            or (seq_lengths.size and (seq_lengths < 0).any())
+        ):
+            raise CacheLoadError(f"cache file {path} has malformed sequences")
+        if seq_opcodes.size and not (
+            ((seq_opcodes >= 0) & (seq_opcodes <= 255)).all()
+            and _DEFINED_OPCODES[seq_opcodes].all()
+            and ((seq_widths >= 0) & (seq_widths <= 32)).all()
+        ):
+            raise CacheLoadError(
+                f"cache file {path} carries out-of-range sequence values"
+            )
+        offset = 0
+        for row, length in zip(seq_rows, seq_lengths.tolist()):
+            entries[row][1].views[_SEQUENCES] = _freeze(
+                OpcodeSequence(
+                    opcodes=seq_opcodes[offset : offset + length].astype(np.uint8),
+                    widths=seq_widths[offset : offset + length].astype(np.uint8),
+                )
+            )
+            offset += length
+        ngram_rows = data["ngram_rows"].tolist()
+        ngram_sizes = data["ngram_sizes"].tolist()
+        ngram_lengths = data["ngram_lengths"]
+        ngram_data = data["ngram_data"]
+        total = int(ngram_lengths.sum()) if ngram_lengths.size else 0
+        if (
+            ngram_lengths.shape[0] != len(ngram_rows)
+            or len(ngram_sizes) != len(ngram_rows)
+            or ngram_data.shape[0] != total
+            or not valid_rows(data["ngram_rows"])
+            or (ngram_lengths.size and (ngram_lengths < 0).any())
+            or any(not 1 <= size <= MAX_NGRAM_BYTES for size in ngram_sizes)
+            or (ngram_data.size and (ngram_data < 0).any())
+        ):
+            raise CacheLoadError(f"cache file {path} has malformed n-grams")
+        offset = 0
+        for row, size, length in zip(ngram_rows, ngram_sizes, ngram_lengths.tolist()):
+            codes = ngram_data[offset : offset + length].astype(np.int64)
+            codes.setflags(write=False)
+            entries[row][1].views[("ngrams", size)] = codes
+            offset += length
+        if "analysis_rows" in data.files and "analysis_data" in data.files:
+            analysis_rows = data["analysis_rows"]
+            analysis_data = data["analysis_data"]
+            if (
+                analysis_data.shape != (analysis_rows.shape[0], len(CFG_METRIC_NAMES))
+                or not valid_rows(analysis_rows)
+                or (analysis_data.size and not np.isfinite(analysis_data).all())
+            ):
+                raise CacheLoadError(
+                    f"cache file {path} has malformed analysis metrics"
+                )
+            for row, vector in zip(analysis_rows.tolist(), analysis_data):
+                vector = np.array(vector, dtype=np.float64)
+                vector.setflags(write=False)
+                entries[row][1].views[_ANALYSIS] = vector
+        return entries, stats
+
+
+def _stats_property(view: str) -> property:
+    return property(
+        lambda self: self._stats[view],
+        doc=f"Live :class:`CacheStats` of the ``{view}`` view.",
+    )
+
+
 class BatchFeatureService:
     """Cached, chunked, multi-worker extraction of all bytecode feature views.
 
@@ -288,61 +492,59 @@ class BatchFeatureService:
             LRU cache; ``0`` disables caching entirely.
         max_workers: Worker-pool width for batch extraction; ``None`` or ``1``
             keeps extraction on the calling thread.
-        chunk_size: Number of distinct bytecodes handed to each worker task.
-        executor: ``"thread"`` (default) dispatches chunks to a
-            ``ThreadPoolExecutor`` — no pickling, kernels release time in
-            NumPy; ``"process"`` ships each chunk's byte blobs to a
-            ``ProcessPoolExecutor`` worker and merges the returned arrays
-            into the parent cache, escaping the GIL for per-chunk Python
-            overhead on very large corpora.  Both backends are bit-identical.
+        chunk_size: Number of distinct bytecodes decoded per kernel task.
+        executor: ``"thread"`` (default) runs kernel tasks on a
+            ``ThreadPoolExecutor`` — no pickling, the kernel spends its time
+            in NumPy; ``"process"`` runs them on a ``ProcessPoolExecutor``,
+            shipping ``(blob_path, spans)`` or ``(buffer, spans)`` and
+            merging the returned packed arrays into the parent cache.  Both
+            backends are bit-identical.
         corpus_blob: Optional :class:`~repro.features.corpus.CorpusBlob`.
-            Misses whose content key the blob indexes are extracted through
-            the zero-copy span path: the process backend sends workers
-            ``(blob_path, [(start, stop), ...])`` instead of pickled byte
-            blobs, the thread/inline paths slice the parent's own memmap.
-            Bit-identical to the in-memory path.
+            Misses whose content key the blob indexes are decoded straight
+            from its memmap (process workers map it themselves), so their
+            bytes are never staged or pickled.  Bit-identical to staging.
         spill_dir: Optional directory for eviction spill files.  When set,
             evicting an entry writes its persistable views (counts,
             sequence, n-grams, analysis) to a content-addressed
-            ``spill-<hash>.npz`` instead of dropping them, and view getters
+            ``spill-<hash>.npz`` instead of dropping them, and view lookups
             fall back to a spill read before declaring a miss — eviction
             stops meaning recompute.
-        span_chunk_size: Number of spans per worker task on the blob path.
-            Span tasks are a few bytes each regardless of corpus size, so
-            this defaults much larger than ``chunk_size``.
+
+    Per-view statistics are live :class:`CacheStats` objects:
+    :attr:`stats` (counts; its ``evictions``/``spills`` count every evicted
+    or spilled *entry*), :attr:`sequence_stats`, :attr:`ngram_stats`,
+    :attr:`byte_stats`, :attr:`image_stats` and :attr:`analysis_stats`.
     """
+
+    stats = _stats_property("counts")
+    sequence_stats = _stats_property("sequences")
+    ngram_stats = _stats_property("ngrams")
+    byte_stats = _stats_property("bytes")
+    image_stats = _stats_property("images")
+    analysis_stats = _stats_property("analysis")
 
     def __init__(
         self,
         cache_size: int = 4096,
         max_workers: Optional[int] = None,
-        chunk_size: int = 64,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         executor: str = "thread",
         corpus_blob: Optional["CorpusBlob"] = None,
         spill_dir: Optional[Union[str, Path]] = None,
-        span_chunk_size: int = 512,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if span_chunk_size < 1:
-            raise ValueError("span_chunk_size must be >= 1")
         if executor not in EXECUTOR_BACKENDS:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
             )
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.span_chunk_size = span_chunk_size
         self.executor = executor
         self._pool = None
         self._blob = corpus_blob
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.stats = CacheStats()
-        self.sequence_stats = CacheStats()
-        self.ngram_stats = CacheStats()
-        self.byte_stats = CacheStats()
-        self.image_stats = CacheStats()
-        self.analysis_stats = CacheStats()
+        self._stats: Dict[str, CacheStats] = {view: CacheStats() for view in VIEWS}
         self.kernel_passes = 0
         self._cache: "OrderedDict[bytes, _CacheEntry]" = OrderedDict()
         self._lock = Lock()
@@ -350,11 +552,11 @@ class BatchFeatureService:
 
     @property
     def corpus_blob(self) -> Optional["CorpusBlob"]:
-        """The attached corpus blob (``None`` → pickled-chunk dispatch)."""
+        """The attached corpus blob (``None`` → every miss is staged)."""
         return self._blob
 
     def attach_blob(self, blob: Optional["CorpusBlob"]) -> None:
-        """Attach (or detach, with ``None``) the span-path corpus blob."""
+        """Attach (or detach, with ``None``) the corpus blob misses read from."""
         with self._lock:
             self._blob = blob
 
@@ -379,230 +581,75 @@ class BatchFeatureService:
                 self._evict_lru()
 
     # ------------------------------------------------------------------
-    # Cache plumbing
+    # The view table: one lookup, one install
     # ------------------------------------------------------------------
+
+    def _lookup(self, slot: _Slot, key: bytes):
+        """Cached ``slot`` value of ``key``; ``None`` is a miss.
+
+        Persisted views fall back to the entry's spill file (a
+        ``spill_hit``).  Counts are binned out of a cached sequence when
+        only that is present: no bytes-level kernel runs, so it is a hit.
+        """
+        view = slot[0]
+        with self._lock:
+            entry = self._cache.get(key)
+            value = None if entry is None else entry.views.get(slot)
+            from_spill = False
+            if value is None and self._cache_size:
+                value = self._derive(entry, slot)
+                if value is None and view in PERSISTED_VIEWS:
+                    entry = self._spill_fill(key, entry)
+                    value = self._derive(entry, slot)
+                    from_spill = value is not None
+            stats = self._stats[view]
+            if value is None:
+                stats.misses += 1
+                return None
+            self._cache.move_to_end(key)
+            if from_spill:
+                stats.spill_hits += 1
+            else:
+                stats.hits += 1
+            return value
 
     @staticmethod
-    def _key(code: bytes) -> bytes:
-        return content_key(code)
-
-    def _evict_lru(self) -> None:
-        """Evict the least recently used entry (caller holds the lock).
-
-        ``stats.evictions`` counts evicted *entries*; the per-view counters
-        record how many evicted entries actually held that view.  With a
-        spill directory configured, the entry's persistable views are
-        written to disk before the entry is dropped (skipped when an
-        up-to-date spill file already exists from a prior spill reload).
-        """
-        key, entry = self._cache.popitem(last=False)
-        self.stats.evictions += 1
-        if entry.sequence is not None:
-            self.sequence_stats.evictions += 1
-        if entry.ngrams:
-            self.ngram_stats.evictions += 1
-        if entry.byte_counts is not None:
-            self.byte_stats.evictions += 1
-        if entry.images:
-            self.image_stats.evictions += 1
-        if entry.analysis is not None:
-            self.analysis_stats.evictions += 1
-        if (
-            self._spill_dir is not None
-            and not entry.spilled
-            and (
-                entry.counts is not None
-                or entry.sequence is not None
-                or entry.ngrams
-                or entry.analysis is not None
-            )
-        ):
-            self._spill_entry(key, entry)
-
-    # ------------------------------------------------------------------
-    # Eviction spilling
-    # ------------------------------------------------------------------
-
-    def _spill_path(self, key: bytes) -> Path:
-        # Content-addressed: one file per unique bytecode, shareable across
-        # services and corpora pointing at the same directory.
-        return self._spill_dir / f"spill-{key.hex()}.npz"
-
-    def _spill_entry(self, key: bytes, entry: _CacheEntry) -> None:
-        """Write an evicted entry's persistable views (caller holds the lock).
-
-        Spilling is best-effort — an unwritable directory degrades to the
-        old drop-on-evict behavior rather than failing the batch call that
-        happened to trigger the eviction.
-        """
-        sizes = sorted(entry.ngrams)
-        arrays: Dict[str, np.ndarray] = {
-            "flags": np.array(
-                [
-                    entry.counts is not None,
-                    entry.sequence is not None,
-                    entry.analysis is not None,
-                ],
-                dtype=np.int64,
-            ),
-            "counts": (
-                entry.counts
-                if entry.counts is not None
-                else np.zeros(256, dtype=np.int64)
-            ),
-            "seq_opcodes": (
-                entry.sequence.opcodes
-                if entry.sequence is not None
-                else np.zeros(0, dtype=np.uint8)
-            ),
-            "seq_widths": (
-                entry.sequence.widths
-                if entry.sequence is not None
-                else np.zeros(0, dtype=np.uint8)
-            ),
-            "ngram_sizes": np.array(sizes, dtype=np.int64),
-            "ngram_lengths": np.array(
-                [entry.ngrams[size].shape[0] for size in sizes], dtype=np.int64
-            ),
-            "ngram_data": (
-                np.concatenate([entry.ngrams[size] for size in sizes])
-                if sizes
-                else np.zeros(0, dtype=np.int64)
-            ),
-            "analysis": (
-                entry.analysis
-                if entry.analysis is not None
-                else np.zeros(len(CFG_METRIC_NAMES), dtype=np.float64)
-            ),
-        }
-        try:
-            write_npz(
-                self._spill_path(key),
-                arrays,
-                magic=SPILL_FILE_MAGIC,
-                version=SPILL_FILE_VERSION,
-                error=CacheWriteError,
-            )
-        except CacheWriteError:
-            return
-        self.stats.spills += 1
-        if entry.sequence is not None:
-            self.sequence_stats.spills += 1
-        if entry.ngrams:
-            self.ngram_stats.spills += 1
-        if entry.analysis is not None:
-            self.analysis_stats.spills += 1
-
-    @staticmethod
-    def _read_spill_file(path: Path) -> _CacheEntry:
-        required = {
-            "flags", "counts", "seq_opcodes", "seq_widths",
-            "ngram_sizes", "ngram_lengths", "ngram_data", "analysis",
-        }
-        with open_validated_npz(
-            path,
-            magic=SPILL_FILE_MAGIC,
-            version=SPILL_FILE_VERSION,
-            required=required,
-            error=CacheLoadError,
-        ) as data:
-            entry = _CacheEntry(spilled=True)
-            flags = np.asarray(data["flags"], dtype=np.int64)
-            if flags.shape != (3,):
-                raise CacheLoadError(f"spill file {path} has malformed flags")
-            if flags[0]:
-                counts = data["counts"]
-                if counts.shape != (256,) or (counts < 0).any():
-                    raise CacheLoadError(f"spill file {path} has malformed counts")
-                vector = counts.astype(np.int64)
-                vector.setflags(write=False)
-                entry.counts = vector
-            if flags[1]:
-                opcodes = data["seq_opcodes"]
-                widths = data["seq_widths"]
-                if opcodes.shape != widths.shape or (
-                    opcodes.size
-                    and not (
-                        ((opcodes >= 0) & (opcodes <= 255)).all()
-                        and _DEFINED_OPCODES[opcodes].all()
-                        and ((widths >= 0) & (widths <= 32)).all()
-                    )
-                ):
-                    raise CacheLoadError(
-                        f"spill file {path} has malformed sequence arrays"
-                    )
-                entry.sequence = _freeze_sequence(
-                    OpcodeSequence(
-                        opcodes=opcodes.astype(np.uint8),
-                        widths=widths.astype(np.uint8),
-                    )
-                )
-            sizes = data["ngram_sizes"].tolist()
-            lengths = data["ngram_lengths"]
-            ngram_data = data["ngram_data"]
-            total = int(lengths.sum()) if lengths.size else 0
-            if (
-                lengths.shape[0] != len(sizes)
-                or ngram_data.shape[0] != total
-                or any(not 1 <= size <= MAX_NGRAM_BYTES for size in sizes)
-                or (lengths.size and (lengths < 0).any())
-                or (ngram_data.size and (ngram_data < 0).any())
-            ):
-                raise CacheLoadError(f"spill file {path} has malformed n-grams")
-            offset = 0
-            for size, length in zip(sizes, lengths.tolist()):
-                codes = ngram_data[offset : offset + length].astype(np.int64)
-                codes.setflags(write=False)
-                entry.ngrams[size] = codes
-                offset += length
-            if flags[2]:
-                analysis = data["analysis"]
-                if analysis.shape != (len(CFG_METRIC_NAMES),) or not np.isfinite(
-                    analysis
-                ).all():
-                    raise CacheLoadError(
-                        f"spill file {path} has malformed analysis metrics"
-                    )
-                vector = analysis.astype(np.float64)
-                vector.setflags(write=False)
-                entry.analysis = vector
-            return entry
-
-    def _spill_fill(
-        self, key: bytes, entry: Optional[_CacheEntry]
-    ) -> Optional[_CacheEntry]:
-        """Merge ``key``'s spill file into the cache (caller holds the lock).
-
-        Returns the (created or updated) entry when a readable spill file
-        exists, ``None`` otherwise — a corrupt spill file reads as a plain
-        miss and is deleted so it cannot shadow a future, healthy spill.
-        Loaded views never overwrite ones the live entry already holds.
-        """
-        if self._spill_dir is None or self.cache_size == 0:
-            return None
-        path = self._spill_path(key)
-        if not path.exists():
-            return None
-        try:
-            loaded = self._read_spill_file(path)
-        except CacheLoadError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+    def _derive(entry: Optional[_CacheEntry], slot: _Slot):
+        """``slot`` of ``entry``, binning counts out of a cached sequence."""
         if entry is None:
+            return None
+        value = entry.views.get(slot)
+        if value is None and slot == _COUNTS:
+            sequence = entry.views.get(_SEQUENCES)
+            if sequence is not None:
+                value = entry.views[_COUNTS] = _freeze(sequence.counts())
+        return value
+
+    def _install(self, slot: _Slot, key: bytes, value) -> bool:
+        """Cache a computed view (frozen read-only); true when newly set."""
+        if self._cache_size == 0:
+            return False
+        _freeze(value)
+        with self._lock:
             entry = self._entry_for(key)
-            entry.spilled = True
-        if entry.counts is None:
-            entry.counts = loaded.counts
-        if entry.sequence is None:
-            entry.sequence = loaded.sequence
-        for size, codes in loaded.ngrams.items():
-            entry.ngrams.setdefault(size, codes)
-        if entry.analysis is None:
-            entry.analysis = loaded.analysis
-        return entry
+            fresh = slot not in entry.views
+            entry.views[slot] = value
+            if fresh and slot[0] in PERSISTED_VIEWS:
+                entry.spilled = False
+            return fresh
+
+    def _install_sequence(self, key: bytes, sequence: OpcodeSequence) -> None:
+        """Install one freshly *computed* sequence and account its kernel pass.
+
+        ``kernel_passes`` counts kernel results *installed* into the cache
+        (plus every kernel run when caching is disabled), so two threads
+        racing to compute the same uncached bytecode cost one pass, not
+        two — the counter tracks unique extraction work, the signal the
+        one-disassembly-per-unique-bytecode invariant is asserted on.
+        """
+        if self._install(_SEQUENCES, key, sequence) or self._cache_size == 0:
+            with self._lock:
+                self.kernel_passes += 1
 
     def _entry_for(self, key: bytes) -> _CacheEntry:
         """Get-or-create the entry of ``key`` (caller holds the lock)."""
@@ -616,140 +663,85 @@ class BatchFeatureService:
             self._evict_lru()
         return entry
 
-    def _counts_get(self, key: bytes) -> Optional[np.ndarray]:
-        """Cached count vector, derived from a cached sequence if needed."""
-        if self.cache_size == 0:
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        with self._lock:
-            entry = self._cache.get(key)
-            from_spill = False
-            if entry is not None:
-                self._cache.move_to_end(key)
-            if entry is None or (entry.counts is None and entry.sequence is None):
-                entry = self._spill_fill(key, entry)
-                from_spill = entry is not None
-                if entry is None:
-                    self.stats.misses += 1
-                    return None
-            if entry.counts is None:
-                if entry.sequence is None:
-                    self.stats.misses += 1
-                    return None
-                # Binning a cached sequence is a cache-served lookup: no
-                # bytes-level kernel runs, so it counts as a hit.
-                vector = entry.sequence.counts()
-                vector.setflags(write=False)
-                entry.counts = vector
-            if from_spill:
-                self.stats.spill_hits += 1
-            else:
-                self.stats.hits += 1
-            return entry.counts
+    def _evict_lru(self) -> None:
+        """Evict the least recently used entry (caller holds the lock).
 
-    def _counts_put(self, key: bytes, vector: np.ndarray) -> bool:
-        """Install a count vector; true when the view was newly set."""
-        if self.cache_size == 0:
-            return False
-        vector.setflags(write=False)
-        with self._lock:
-            entry = self._entry_for(key)
-            fresh = entry.counts is None
-            entry.counts = vector
-            if fresh:
-                entry.spilled = False
-            return fresh
+        ``stats.evictions`` counts evicted *entries*; the other views count
+        the evicted entries that held them.  With a spill directory
+        configured, the persistable views are written to disk first
+        (skipped when an up-to-date spill file exists from a prior reload).
+        """
+        key, entry = self._cache.popitem(last=False)
+        held = {view for view, _ in entry.views}
+        for view in held | {"counts"}:
+            self._stats[view].evictions += 1
+        persisted = held & PERSISTED_VIEWS
+        if self._spill_dir is not None and not entry.spilled and persisted:
+            self._spill_entry(key, entry, persisted)
 
-    def _sequence_get(self, key: bytes) -> Optional[OpcodeSequence]:
-        if self.cache_size == 0:
-            with self._lock:
-                self.sequence_stats.misses += 1
-            return None
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is None or entry.sequence is None:
-                entry = self._spill_fill(key, entry)
-                if entry is None or entry.sequence is None:
-                    self.sequence_stats.misses += 1
-                    return None
-                self._cache.move_to_end(key)
-                self.sequence_stats.spill_hits += 1
-                return entry.sequence
-            self._cache.move_to_end(key)
-            self.sequence_stats.hits += 1
-            return entry.sequence
+    # ------------------------------------------------------------------
+    # Eviction spilling
+    # ------------------------------------------------------------------
 
-    def _sequence_put(self, key: bytes, sequence: OpcodeSequence) -> bool:
-        """Install a sequence; true when the view was newly set."""
-        if self.cache_size == 0:
-            return False
-        _freeze_sequence(sequence)
-        with self._lock:
-            entry = self._entry_for(key)
-            fresh = entry.sequence is None
-            entry.sequence = sequence
-            if fresh:
-                entry.spilled = False
-            return fresh
+    def _spill_path(self, key: bytes) -> Path:
+        # Content-addressed: one file per unique bytecode, shareable across
+        # services and corpora pointing at the same directory.
+        return self._spill_dir / f"spill-{key.hex()}.npz"
 
-    def _ngrams_get(self, key: bytes, bytes_per_gram: int) -> Optional[np.ndarray]:
-        if self.cache_size == 0:
-            with self._lock:
-                self.ngram_stats.misses += 1
-            return None
-        with self._lock:
-            entry = self._cache.get(key)
-            codes = entry.ngrams.get(bytes_per_gram) if entry is not None else None
-            if codes is None:
-                entry = self._spill_fill(key, entry)
-                codes = (
-                    entry.ngrams.get(bytes_per_gram) if entry is not None else None
-                )
-                if codes is None:
-                    self.ngram_stats.misses += 1
-                    return None
-                self._cache.move_to_end(key)
-                self.ngram_stats.spill_hits += 1
-                return codes
-            self._cache.move_to_end(key)
-            self.ngram_stats.hits += 1
-            return codes
+    def _spill_entry(self, key: bytes, entry: _CacheEntry, views) -> None:
+        """Write an evicted entry as a one-entry cache file (lock held).
 
-    def _ngrams_put(self, key: bytes, bytes_per_gram: int, codes: np.ndarray) -> None:
-        if self.cache_size == 0:
+        Spilling is best-effort — an unwritable directory degrades to
+        drop-on-evict rather than failing the call that happened to trigger
+        the eviction.
+        """
+        try:
+            _write_cache_file(
+                self._spill_path(key),
+                [(key, entry.views)],
+                np.zeros(3 * len(_FILE_STAT_VIEWS) + 1, dtype=np.int64),
+                magic=SPILL_FILE_MAGIC,
+                version=SPILL_FILE_VERSION,
+            )
+        except CacheWriteError:
             return
-        codes.setflags(write=False)
-        with self._lock:
+        for view in views | {"counts"}:
+            self._stats[view].spills += 1
+
+    def _spill_fill(
+        self, key: bytes, entry: Optional[_CacheEntry]
+    ) -> Optional[_CacheEntry]:
+        """Merge ``key``'s spill file into the cache (caller holds the lock).
+
+        Returns the (created or updated) entry when a readable spill file
+        of this very contract exists, ``None`` otherwise.  A corrupt file,
+        or one holding another contract's key, reads as a plain miss and
+        is deleted so it cannot shadow a future, healthy spill.  Loaded
+        views never overwrite ones the live entry already holds.
+        """
+        if self._spill_dir is None:
+            return None
+        path = self._spill_path(key)
+        if not path.exists():
+            return None
+        try:
+            entries, _ = _read_cache_file(
+                path, magic=SPILL_FILE_MAGIC, version=SPILL_FILE_VERSION
+            )
+            if len(entries) != 1 or entries[0][0] != key:
+                raise CacheLoadError(f"spill file {path} holds another contract")
+        except CacheLoadError:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        if entry is None:
             entry = self._entry_for(key)
-            if bytes_per_gram not in entry.ngrams:
-                entry.spilled = False
-            entry.ngrams[bytes_per_gram] = codes
-
-    def _record_pass(self, counted: bool) -> None:
-        """Account one kernel pass when ``counted``.
-
-        ``kernel_passes`` counts kernel results *installed* into the cache
-        (plus every kernel run when caching is disabled), so two threads
-        racing to compute the same uncached bytecode cost one pass, not two
-        — the counter tracks unique extraction work, the telemetry signal
-        the one-disassembly-per-unique-bytecode invariant is asserted on.
-        """
-        if counted:
-            with self._lock:
-                self.kernel_passes += 1
-
-    def _install_sequence(self, key: bytes, sequence: OpcodeSequence) -> None:
-        """Install one freshly *computed* sequence and account its kernel pass.
-
-        The single accounting rule for every sequence-producing path (scalar,
-        batch, blob span): a pass counts when the result was newly installed,
-        or on every kernel run when caching is disabled (nothing can be
-        installed, but the work was done).  Keeping all call sites on this
-        helper is what makes ``kernel_passes`` comparable across
-        ``sequence()``, ``sequences()`` and the no-cache batch path.
-        """
-        self._record_pass(self._sequence_put(key, sequence) or self.cache_size == 0)
+            entry.spilled = True
+        for slot, value in entries[0][1].views.items():
+            entry.views.setdefault(slot, value)
+        return entry
 
     def cache_clear(self) -> None:
         """Drop every cached entry, reset all statistics, delete spill files."""
@@ -761,206 +753,147 @@ class BatchFeatureService:
                         path.unlink()
                     except OSError:
                         pass
-            self.stats = CacheStats()
-            self.sequence_stats = CacheStats()
-            self.ngram_stats = CacheStats()
-            self.byte_stats = CacheStats()
-            self.image_stats = CacheStats()
-            self.analysis_stats = CacheStats()
+            self._stats = {view: CacheStats() for view in VIEWS}
             self.kernel_passes = 0
 
     def __len__(self) -> int:
         return len(self._cache)
 
     # ------------------------------------------------------------------
-    # Count extraction (histogram view)
+    # The miss path: one buffer kernel for every view that disassembles
     # ------------------------------------------------------------------
 
-    def count_vector(self, bytecode: BytecodeLike) -> np.ndarray:
-        """256-bin opcode counts of one bytecode (read-only when cached).
+    def _resolve(
+        self,
+        slot: _Slot,
+        bytecodes: Sequence[BytecodeLike],
+        fill: Callable[[Dict[bytes, bytes]], Dict[bytes, object]],
+    ) -> list:
+        """Per-bytecode ``slot`` values; misses deduplicated, then ``fill``ed.
 
-        When caching is enabled a miss extracts the *sequence* view and bins
-        the counts out of it, so a later sequence lookup of the same bytecode
-        is a hit instead of a second kernel pass; with caching disabled the
-        cheaper pure count kernel runs (nothing could be reused anyway).
-        """
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        vector = self._counts_get(key)
-        if vector is None:
-            if self.cache_size > 0:
-                sequence = sequence_batch([code])[0]
-                vector = sequence.counts()
-                self._install_sequence(key, sequence)
-                self._counts_put(key, vector)
-            else:
-                vector = count_opcodes(code)
-                self._record_pass(True)
-        return vector
-
-    @_traced("features")
-    def count_matrix(self, bytecodes: Sequence[BytecodeLike]) -> np.ndarray:
-        """``(n, 256)`` opcode-count matrix for a batch of bytecodes.
-
-        Cache misses are deduplicated (proxy clones are extracted once) and
-        computed in chunks, optionally across a thread pool.  As in
-        :meth:`count_vector`, cached misses extract sequences and derive the
-        counts, keeping the one-disassembly-per-unique-bytecode property
-        independent of which feature view asks first.
+        ``fill`` maps ``{key: code}`` of the distinct misses to
+        ``{key: value}`` (proxy clones are extracted once).
         """
         codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]
-        matrix = np.zeros((len(codes), 256), dtype=np.int64)
-        pending: "OrderedDict[bytes, List[int]]" = OrderedDict()
+        values: list = [None] * len(codes)
+        pending: Dict[bytes, List[int]] = {}
         pending_codes: Dict[bytes, bytes] = {}
         for row, code in enumerate(codes):
-            key = self._key(code)
-            vector = self._counts_get(key)
-            if vector is None:
+            key = content_key(code)
+            value = self._lookup(slot, key)
+            if value is None:
                 pending.setdefault(key, []).append(row)
                 pending_codes[key] = code
             else:
-                matrix[row] = vector
+                values[row] = value
         if pending:
-            keys = list(pending)
-            if self.cache_size > 0:
-                vectors = []
-                for key, sequence in zip(
-                    keys, self._sequences_for_missing(keys, pending_codes)
-                ):
-                    self._install_sequence(key, sequence)
-                    vector = sequence.counts()
-                    self._counts_put(key, vector)
-                    vectors.append(vector)
-            else:
-                vectors = self._compute(keys, pending_codes)
-            for key, vector in zip(keys, vectors):
+            for key, value in fill(pending_codes).items():
                 for row in pending[key]:
-                    matrix[row] = vector
-        return matrix
-
-    @staticmethod
-    def _compute_chunk(chunk: Sequence[bytes]) -> List[np.ndarray]:
-        # Copy rows out of the chunk matrix so a cached vector never pins the
-        # whole batch allocation in memory.
-        return [np.array(row) for row in count_batch(chunk)]
-
-    def _compute(
-        self, keys: Sequence[bytes], codes: Dict[bytes, bytes]
-    ) -> List[np.ndarray]:
-        # Only reached with caching disabled, where no dedup is possible:
-        # every code is a real kernel pass.  Blob-indexed keys still take the
-        # span path (pure count kernels over memmap views); the rest ship
-        # their byte blobs.
-        with self._lock:
-            self.kernel_passes += len(keys)
-        blob_keys, rest = self._partition_blob_keys(keys)
-        vectors: Dict[bytes, np.ndarray] = {}
-        if blob_keys:
-            matrices = self._map_span_chunks(
-                [self._blob.span(key) for key in blob_keys], "counts"
-            )
-            rows = (np.array(row) for matrix in matrices for row in matrix)
-            vectors.update(zip(blob_keys, rows))
-        if rest:
-            computed = self._map_chunks(
-                self._compute_chunk, [codes[key] for key in rest]
-            )
-            vectors.update(zip(rest, computed))
-        return [vectors[key] for key in keys]
-
-    def _partition_blob_keys(
-        self, keys: Sequence[bytes]
-    ) -> Tuple[List[bytes], List[bytes]]:
-        """Split ``keys`` into (blob-indexed, everything else)."""
-        blob = self._blob
-        if blob is None:
-            return [], list(keys)
-        blob_keys: List[bytes] = []
-        rest: List[bytes] = []
-        for key in keys:
-            (blob_keys if key in blob else rest).append(key)
-        return blob_keys, rest
-
-    def _sequences_for_missing(
-        self, keys: Sequence[bytes], codes: Dict[bytes, bytes]
-    ) -> List[OpcodeSequence]:
-        """Sequences of deduplicated cache misses, in ``keys`` order.
-
-        The one dispatch point of every batched sequence computation: keys
-        the attached corpus blob indexes go through the zero-copy span path
-        (workers receive ``(blob_path, spans)``, not the bytes), the rest
-        through the pickled-chunk path.  Both produce sequences bit-identical
-        to ``sequence_batch`` on the raw bytes.
-        """
-        blob_keys, rest = self._partition_blob_keys(keys)
-        results: Dict[bytes, OpcodeSequence] = {}
-        if blob_keys:
-            packed = self._map_span_chunks(
-                [self._blob.span(key) for key in blob_keys], "sequences"
-            )
-            sequences = (s for p in packed for s in p.split())
-            results.update(zip(blob_keys, sequences))
-        if rest:
-            computed = self._map_chunks(
-                sequence_batch, [codes[key] for key in rest]
-            )
-            results.update(zip(rest, computed))
-        return [results[key] for key in keys]
+                    values[row] = value
+        return values
 
     @_traced("kernel")
-    def _map_span_chunks(self, spans: Sequence[Tuple[int, int]], kind: str) -> list:
-        """Run one packed span-extraction task per ``span_chunk_size`` spans.
+    def _run_kernel(
+        self, codes: Dict[bytes, bytes]
+    ) -> List[Tuple[List[bytes], PackedSequences]]:
+        """Decode distinct misses, ``chunk_size`` codes per task.
 
-        The process backend maps the module-level
-        :func:`~repro.features.corpus.extract_blob_spans` over
-        ``(blob_path, spans, kind)`` argument triples — corpus bytes never
-        cross the pipe in either direction (results come back as packed
-        arrays); thread and inline execution slice the parent's own memmap.
+        Keys the attached blob indexes become spans of its memmap; the rest
+        are staged into one in-memory buffer per task.  Tasks run inline, or
+        on the pool when there is more than one: process workers get
+        ``(blob_path, spans)`` or ``(buffer, spans)``.  Returns ``(task keys,
+        packed sequences)`` per task.
         """
-        from .corpus import extract_blob_spans
+        from .corpus import extract_spans
 
-        chunks = [
-            list(spans[start : start + self.span_chunk_size])
-            for start in range(0, len(spans), self.span_chunk_size)
-        ]
+        blob = self._blob
+        if blob is None:
+            blob_keys, staged = [], list(codes)
+        else:
+            blob_keys = [key for key in codes if key in blob]
+            staged = [key for key in codes if key not in blob]
+        size = self.chunk_size
+        blob_tasks = [blob_keys[i : i + size] for i in range(0, len(blob_keys), size)]
+        staged_tasks = [staged[i : i + size] for i in range(0, len(staged), size)]
         pooled = (
             self.max_workers is not None
             and self.max_workers > 1
-            and len(chunks) > 1
+            and len(blob_tasks) + len(staged_tasks) > 1
         )
-        if pooled and self.executor == "process":
-            return list(
-                self._get_pool().map(
-                    extract_blob_spans,
-                    repeat(str(self._blob.path)),
-                    chunks,
-                    repeat(kind),
-                )
-            )
-        if pooled:
-            blob = self._blob
-            return list(
-                self._get_pool().map(lambda chunk: blob.extract(chunk, kind), chunks)
-            )
-        return [self._blob.extract(chunk, kind) for chunk in chunks]
+        source = blob
+        if blob_tasks and pooled and self.executor == "process":
+            source = str(blob.path)
 
-    @_traced("kernel")
-    def _map_chunks(self, compute_chunk, codes: Sequence[bytes]) -> list:
-        # Always chunk — the batch kernels' working set is a multiple of the
-        # concatenated input, so one giant call would spike peak memory.
-        chunks = [
-            codes[start : start + self.chunk_size]
-            for start in range(0, len(codes), self.chunk_size)
-        ]
-        if self.max_workers is None or self.max_workers <= 1 or len(chunks) <= 1:
-            return [result for chunk in chunks for result in compute_chunk(chunk)]
-        # Workers only ever see immutable chunk byte blobs and return fresh
-        # arrays, so both pool kinds merge into the parent cache identically;
-        # the process path additionally round-trips chunks/results through
-        # pickle, which every kernel payload (bytes, ndarray, OpcodeSequence)
-        # supports.
-        chunk_results = list(self._get_pool().map(compute_chunk, chunks))
-        return [result for chunk in chunk_results for result in chunk]
+        def blob_args(task):
+            return source, np.array([blob.span(key) for key in task], dtype=np.int64)
+
+        def staged_args(task):
+            # Staged lazily, one task at a time inline: a call with
+            # thousands of misses never holds a second copy of all their
+            # bytes at once.
+            buffer, lengths = pack_codes([codes[key] for key in task])
+            stops = np.cumsum(lengths)
+            return buffer, np.stack([stops - lengths, stops], axis=1)
+
+        args = chain(map(blob_args, blob_tasks), map(staged_args, staged_tasks))
+        if pooled:
+            results = self._get_pool().map(extract_spans, *zip(*args))
+        else:
+            results = starmap(extract_spans, args)
+        return list(zip(blob_tasks + staged_tasks, results))
+
+    def _fill_sequences(self, codes: Dict[bytes, bytes]) -> Dict[bytes, OpcodeSequence]:
+        sequences: Dict[bytes, OpcodeSequence] = {}
+        for keys, packed in self._run_kernel(codes):
+            for key, sequence in zip(keys, packed.split()):
+                self._install_sequence(key, sequence)
+                sequences[key] = sequence
+        return sequences
+
+    def _fill_counts(self, codes: Dict[bytes, bytes]) -> Dict[bytes, np.ndarray]:
+        # With caching on, the sequence is installed alongside the counts,
+        # so a later sequence lookup is a hit instead of a second pass.
+        vectors: Dict[bytes, np.ndarray] = {}
+        for keys, packed in self._run_kernel(codes):
+            matrix = packed.counts()
+            if self._cache_size == 0:
+                with self._lock:
+                    self.kernel_passes += len(keys)
+                vectors.update(zip(keys, matrix))
+                continue
+            for key, sequence, row in zip(keys, packed.split(), matrix):
+                self._install_sequence(key, sequence)
+                # A copy, so a cached vector never pins the task's matrix.
+                vector = row.copy()
+                self._install(_COUNTS, key, vector)
+                vectors[key] = vector
+        return vectors
+
+    def _per_code(
+        self,
+        slot: _Slot,
+        bytecodes: Sequence[BytecodeLike],
+        compute: Callable[[bytes], np.ndarray],
+    ) -> List[np.ndarray]:
+        """Per-bytecode ``slot`` values, each miss ``compute``d alone.
+
+        The path of the views no disassembly feeds (n-grams, byte counts,
+        images) and of the analysis vector, which reads the cached sequence.
+        """
+        values = []
+        for bytecode in bytecodes:
+            code = normalize_bytecode(bytecode)
+            key = content_key(code)
+            value = self._lookup(slot, key)
+            if value is None:
+                value = compute(code)
+                self._install(slot, key, value)
+            values.append(value)
+        return values
+
+    # ------------------------------------------------------------------
+    # Worker pool
+    # ------------------------------------------------------------------
 
     def _get_pool(self):
         """The service's lazily created, reused worker pool.
@@ -1011,6 +944,29 @@ class BatchFeatureService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # ------------------------------------------------------------------
+    # Count extraction (histogram view)
+    # ------------------------------------------------------------------
+
+    def count_vector(self, bytecode: BytecodeLike) -> np.ndarray:
+        """256-bin opcode counts of one bytecode (read-only when cached).
+
+        A miss runs the buffer kernel once and caches the *sequence* too,
+        so a later sequence lookup of the same bytecode is a hit.
+        """
+        return self._resolve(_COUNTS, [bytecode], self._fill_counts)[0]
+
+    @_traced("features")
+    def count_matrix(self, bytecodes: Sequence[BytecodeLike]) -> np.ndarray:
+        """``(n, 256)`` opcode-count matrix for a batch of bytecodes.
+
+        As in :meth:`count_vector`, misses install sequences alongside the
+        counts, keeping the one-disassembly-per-unique-bytecode property
+        independent of which feature view asks first.
+        """
+        rows = self._resolve(_COUNTS, bytecodes, self._fill_counts)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 256)
+
     def transform(
         self,
         bytecodes: Sequence[BytecodeLike],
@@ -1031,37 +987,12 @@ class BatchFeatureService:
 
     def sequence(self, bytecode: BytecodeLike) -> OpcodeSequence:
         """The :class:`OpcodeSequence` of one bytecode (read-only when cached)."""
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        sequence = self._sequence_get(key)
-        if sequence is None:
-            sequence = self._sequences_for_missing([key], {key: code})[0]
-            self._install_sequence(key, sequence)
-        return sequence
+        return self._resolve(_SEQUENCES, [bytecode], self._fill_sequences)[0]
 
     @_traced("features")
     def sequences(self, bytecodes: Sequence[BytecodeLike]) -> List[OpcodeSequence]:
         """Sequences for a batch of bytecodes (misses deduplicated + chunked)."""
-        codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]
-        results: List[Optional[OpcodeSequence]] = [None] * len(codes)
-        pending: "OrderedDict[bytes, List[int]]" = OrderedDict()
-        pending_codes: Dict[bytes, bytes] = {}
-        for row, code in enumerate(codes):
-            key = self._key(code)
-            sequence = self._sequence_get(key)
-            if sequence is None:
-                pending.setdefault(key, []).append(row)
-                pending_codes[key] = code
-            else:
-                results[row] = sequence
-        if pending:
-            keys = list(pending)
-            sequences = self._sequences_for_missing(keys, pending_codes)
-            for key, sequence in zip(keys, sequences):
-                self._install_sequence(key, sequence)
-                for row in pending[key]:
-                    results[row] = sequence
-        return results  # type: ignore[return-value]
+        return self._resolve(_SEQUENCES, bytecodes, self._fill_sequences)
 
     # ------------------------------------------------------------------
     # N-gram extraction (SCSGuard view)
@@ -1076,54 +1007,24 @@ class BatchFeatureService:
         string path.  No disassembly is involved; the view is cached per
         ``(bytecode, bytes_per_gram)``.
         """
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        codes = self._ngrams_get(key, bytes_per_gram)
-        if codes is None:
-            codes = _gram_codes(code, bytes_per_gram)
-            self._ngrams_put(key, bytes_per_gram, codes)
-        return codes
+        return self._ngram_codes([bytecode], bytes_per_gram)[0]
 
     @_traced("features")
     def ngram_codes_batch(
         self, bytecodes: Sequence[BytecodeLike], bytes_per_gram: int
     ) -> List[np.ndarray]:
         """N-gram codes for a batch of bytecodes."""
-        return [self.ngram_codes(bytecode, bytes_per_gram) for bytecode in bytecodes]
+        return self._ngram_codes(bytecodes, bytes_per_gram)
+
+    def _ngram_codes(self, bytecodes, bytes_per_gram: int) -> List[np.ndarray]:
+        return self._per_code(
+            ("ngrams", bytes_per_gram), bytecodes,
+            lambda code: _gram_codes(code, bytes_per_gram),
+        )
 
     # ------------------------------------------------------------------
     # Raw-byte extraction (ESCORT embedding / R2D2 image views)
     # ------------------------------------------------------------------
-
-    def _raw_view_get(
-        self, key: bytes, stats: CacheStats, read, spillable: bool = False
-    ) -> Optional[np.ndarray]:
-        """Shared lookup of a per-entry view via ``read(entry)``.
-
-        ``spillable`` enables the spill-file fallback — used by the analysis
-        view, which is persisted and spilled; the raw-byte views
-        (byte counts, images) are memory-only and never consult spill files.
-        """
-        if self.cache_size == 0:
-            with self._lock:
-                stats.misses += 1
-            return None
-        with self._lock:
-            entry = self._cache.get(key)
-            value = read(entry) if entry is not None else None
-            if value is None and spillable:
-                entry = self._spill_fill(key, entry)
-                value = read(entry) if entry is not None else None
-                if value is not None:
-                    self._cache.move_to_end(key)
-                    stats.spill_hits += 1
-                    return value
-            if value is None:
-                stats.misses += 1
-                return None
-            self._cache.move_to_end(key)
-            stats.hits += 1
-            return value
 
     def byte_counts(self, bytecode: BytecodeLike) -> np.ndarray:
         """256-bin raw byte-value histogram of one bytecode.
@@ -1133,47 +1034,29 @@ class BatchFeatureService:
         data never becomes an instruction.  No disassembly runs, so the view
         does not move ``kernel_passes``.
         """
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        vector = self._raw_view_get(key, self.byte_stats, lambda e: e.byte_counts)
-        if vector is None:
-            vector = byte_count_vector(code)
-            if self.cache_size > 0:
-                vector.setflags(write=False)
-                with self._lock:
-                    self._entry_for(key).byte_counts = vector
-        return vector
+        return self._per_code(_BYTES, [bytecode], byte_count_vector)[0]
 
     @_traced("features")
     def byte_count_matrix(self, bytecodes: Sequence[BytecodeLike]) -> np.ndarray:
         """``(n, 256)`` raw byte-count matrix (duplicates served from cache)."""
-        matrix = np.zeros((len(bytecodes), 256), dtype=np.int64)
-        for row, bytecode in enumerate(bytecodes):
-            matrix[row] = self.byte_counts(bytecode)
-        return matrix
+        rows = self._per_code(_BYTES, bytecodes, byte_count_vector)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 256)
 
     def r2d2_image(self, bytecode: BytecodeLike, image_size: int) -> np.ndarray:
         """R2D2-style RGB tensor of one bytecode, cached per image size."""
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        image = self._raw_view_get(
-            key, self.image_stats, lambda e: e.images.get(image_size)
-        )
-        if image is None:
-            image = r2d2_image_from_bytes(code, image_size)
-            if self.cache_size > 0:
-                image.setflags(write=False)
-                with self._lock:
-                    self._entry_for(key).images[image_size] = image
-        return image
+        return self._r2d2_images([bytecode], image_size)[0]
 
     @_traced("features")
     def r2d2_images(
         self, bytecodes: Sequence[BytecodeLike], image_size: int
     ) -> np.ndarray:
         """``(n, 3, image_size, image_size)`` batch of R2D2 images."""
-        return np.stack(
-            [self.r2d2_image(bytecode, image_size) for bytecode in bytecodes]
+        return np.stack(self._r2d2_images(bytecodes, image_size))
+
+    def _r2d2_images(self, bytecodes, image_size: int) -> List[np.ndarray]:
+        return self._per_code(
+            ("images", image_size), bytecodes,
+            lambda code: r2d2_image_from_bytes(code, image_size),
         )
 
     # ------------------------------------------------------------------
@@ -1191,21 +1074,7 @@ class BatchFeatureService:
         histogram/token/image views.  Persisted by :meth:`save` alongside
         counts and sequences.
         """
-        code = normalize_bytecode(bytecode)
-        key = self._key(code)
-        vector = self._raw_view_get(
-            key, self.analysis_stats, lambda e: e.analysis, spillable=True
-        )
-        if vector is None:
-            vector = cfg_metrics_vector(code, sequence=self.sequence(code))
-            if self.cache_size > 0:
-                vector.setflags(write=False)
-                with self._lock:
-                    entry = self._entry_for(key)
-                    if entry.analysis is None:
-                        entry.spilled = False
-                    entry.analysis = vector
-        return vector
+        return self._analysis_vectors([bytecode])[0]
 
     @_traced("features")
     def analysis_matrix(self, bytecodes: Sequence[BytecodeLike]) -> np.ndarray:
@@ -1220,10 +1089,18 @@ class BatchFeatureService:
         """
         if self.cache_size > 0:
             self.sequences(bytecodes)
-        matrix = np.zeros((len(bytecodes), len(CFG_METRIC_NAMES)), dtype=np.float64)
-        for row, bytecode in enumerate(bytecodes):
-            matrix[row] = self.analysis_vector(bytecode)
-        return matrix
+        rows = self._analysis_vectors(bytecodes)
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(CFG_METRIC_NAMES))
+
+    def _analysis_vectors(self, bytecodes) -> List[np.ndarray]:
+        return self._per_code(
+            _ANALYSIS, bytecodes,
+            lambda code: cfg_metrics_vector(code, sequence=self.sequence(code)),
+        )
+
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
 
     def view_stats(self) -> Dict[str, CacheStats]:
         """Per-view counter snapshots, keyed by view name.
@@ -1233,47 +1110,22 @@ class BatchFeatureService:
         holds a reference into the live counters.
         """
         with self._lock:
-            live = {
-                "counts": self.stats,
-                "sequences": self.sequence_stats,
-                "ngrams": self.ngram_stats,
-                "bytes": self.byte_stats,
-                "images": self.image_stats,
-                "analysis": self.analysis_stats,
-            }
             return {
-                name: CacheStats(
-                    hits=stats.hits,
-                    misses=stats.misses,
-                    evictions=stats.evictions,
-                    spills=stats.spills,
-                    spill_hits=stats.spill_hits,
-                )
-                for name, stats in live.items()
+                view: dataclasses.replace(stats) for view, stats in self._stats.items()
             }
 
     def aggregate_stats(self) -> CacheStats:
         """Hit/miss/eviction totals across every feature view.
 
         The serving telemetry surface reports one feature-cache hit rate;
-        this sums the count, sequence, n-gram, byte and image view counters
-        into a single :class:`CacheStats` snapshot.
+        this sums every view's counters into a single :class:`CacheStats`
+        snapshot.
         """
         total = CacheStats()
         with self._lock:
-            for stats in (
-                self.stats,
-                self.sequence_stats,
-                self.ngram_stats,
-                self.byte_stats,
-                self.image_stats,
-                self.analysis_stats,
-            ):
-                total.hits += stats.hits
-                total.misses += stats.misses
-                total.evictions += stats.evictions
-                total.spills += stats.spills
-                total.spill_hits += stats.spill_hits
+            for stats in self._stats.values():
+                for name in ("hits", "misses", "evictions", "spills", "spill_hits"):
+                    setattr(total, name, getattr(total, name) + getattr(stats, name))
         return total
 
     # ------------------------------------------------------------------
@@ -1281,119 +1133,54 @@ class BatchFeatureService:
     # ------------------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the cached count/sequence/n-gram store to ``path`` (``.npz``).
+        """Write the cached count/sequence/n-gram/analysis store to ``path``.
 
-        The file also carries the hit/miss statistics and the kernel-pass
-        counter, so accounting survives a :meth:`load`.  Entries are written
-        in LRU order (oldest first) so reloading preserves eviction order.
-        Parent directories are created as needed; the write is atomic with a
-        per-writer randomized staging name, so concurrent saves to the same
-        path are safe (last rename wins, the file is never truncated).
+        The file also carries the hit/miss/eviction statistics of the
+        count, sequence and n-gram views and the kernel-pass counter, so
+        accounting survives a :meth:`load`.  Entries are written in LRU
+        order (oldest first) so reloading preserves eviction order.
+        Parent directories are created as needed; the write is atomic with
+        a per-writer randomized staging name, so concurrent saves to the
+        same path are safe (last rename wins, the file is never truncated).
 
         Raises:
             CacheWriteError: if the file cannot be written — e.g. the parent
                 path is occupied by a regular file, or the directory is
                 unwritable.
         """
-        # Snapshot the mutable entry contents while holding the lock; the
-        # arrays themselves are frozen read-only at put time, so referencing
-        # them after release is safe — only the entry fields and the ngrams
-        # dict can change concurrently.
+        # Snapshot the view tables while holding the lock; the arrays
+        # themselves are frozen read-only at install time, so referencing
+        # them after release is safe.
         with self._lock:
-            items = [
-                (key, entry.counts, entry.sequence, dict(entry.ngrams), entry.analysis)
-                for key, entry in self._cache.items()
-            ]
+            items = [(key, dict(entry.views)) for key, entry in self._cache.items()]
             stats = np.array(
                 [
-                    self.stats.hits, self.stats.misses, self.stats.evictions,
-                    self.sequence_stats.hits, self.sequence_stats.misses,
-                    self.sequence_stats.evictions,
-                    self.ngram_stats.hits, self.ngram_stats.misses,
-                    self.ngram_stats.evictions,
-                    self.kernel_passes,
-                ],
+                    value
+                    for view in _FILE_STAT_VIEWS
+                    for value in (
+                        self._stats[view].hits,
+                        self._stats[view].misses,
+                        self._stats[view].evictions,
+                    )
+                ]
+                + [self.kernel_passes],
                 dtype=np.int64,
             )
-        keys = [key for key, _, _, _, _ in items]
-        arrays: Dict[str, np.ndarray] = {
-            "stats": stats,
-            "keys": (
-                np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), 16)
-                if keys
-                else np.zeros((0, 16), dtype=np.uint8)
-            ),
-        }
-        count_rows = [i for i, (_, counts, _, _, _) in enumerate(items) if counts is not None]
-        arrays["count_rows"] = np.array(count_rows, dtype=np.int64)
-        arrays["count_data"] = (
-            np.stack([items[i][1] for i in count_rows])
-            if count_rows
-            else np.zeros((0, 256), dtype=np.int64)
-        )
-        seq_rows = [i for i, (_, _, sequence, _, _) in enumerate(items) if sequence is not None]
-        seq_list = [items[i][2] for i in seq_rows]
-        arrays["seq_rows"] = np.array(seq_rows, dtype=np.int64)
-        arrays["seq_lengths"] = np.array([len(s) for s in seq_list], dtype=np.int64)
-        # Sequences persist in their native uint8 (2 bytes per instruction);
-        # load() is value-validated and casts, so dtype is not part of the
-        # format contract.
-        arrays["seq_opcodes"] = (
-            np.concatenate([s.opcodes for s in seq_list])
-            if seq_list
-            else np.zeros(0, dtype=np.uint8)
-        )
-        arrays["seq_widths"] = (
-            np.concatenate([s.widths for s in seq_list])
-            if seq_list
-            else np.zeros(0, dtype=np.uint8)
-        )
-        ngram_rows: List[int] = []
-        ngram_sizes: List[int] = []
-        ngram_lengths: List[int] = []
-        ngram_chunks: List[np.ndarray] = []
-        for i, (_, _, _, ngrams, _) in enumerate(items):
-            for bytes_per_gram in sorted(ngrams):
-                codes = ngrams[bytes_per_gram]
-                ngram_rows.append(i)
-                ngram_sizes.append(bytes_per_gram)
-                ngram_lengths.append(codes.shape[0])
-                ngram_chunks.append(codes)
-        arrays["ngram_rows"] = np.array(ngram_rows, dtype=np.int64)
-        arrays["ngram_sizes"] = np.array(ngram_sizes, dtype=np.int64)
-        arrays["ngram_lengths"] = np.array(ngram_lengths, dtype=np.int64)
-        arrays["ngram_data"] = (
-            np.concatenate(ngram_chunks) if ngram_chunks else np.zeros(0, dtype=np.int64)
-        )
-        # Optional arrays (absent in files written before the analysis view
-        # existed); the format version is unchanged, so old files still load.
-        analysis_rows = [
-            i for i, (_, _, _, _, analysis) in enumerate(items) if analysis is not None
-        ]
-        arrays["analysis_rows"] = np.array(analysis_rows, dtype=np.int64)
-        arrays["analysis_data"] = (
-            np.stack([items[i][4] for i in analysis_rows])
-            if analysis_rows
-            else np.zeros((0, len(CFG_METRIC_NAMES)), dtype=np.float64)
-        )
-        write_npz(
-            path,
-            arrays,
-            magic=CACHE_FILE_MAGIC,
-            version=CACHE_FILE_VERSION,
-            error=CacheWriteError,
+        _write_cache_file(
+            path, items, stats, magic=CACHE_FILE_MAGIC, version=CACHE_FILE_VERSION
         )
 
     def load(self, path: Union[str, Path], grow: bool = False) -> int:
         """Replace the cache contents with a store written by :meth:`save`.
 
-        Statistics are restored from the file; entries beyond the service's
-        ``cache_size`` are evicted oldest-first (adding to the restored
-        eviction count) — unless ``grow`` is set, in which case the cache
-        capacity is raised to fit every stored entry, so an eviction-aware
-        warm-up (e.g. :class:`~repro.serving.ScoringService` pre-populating
-        its feature cache from a store file) can never silently drop part
-        of what it just loaded.  Returns the number of entries retained.
+        Every counter is reset, then the ones the file records are
+        restored; entries beyond the service's ``cache_size`` are evicted
+        oldest-first (adding to the restored eviction count) — unless
+        ``grow`` is set, in which case the cache capacity is raised to fit
+        every stored entry, so an eviction-aware warm-up (e.g.
+        :class:`~repro.serving.ScoringService` pre-populating its feature
+        cache from a store file) can never silently drop part of what it
+        just loaded.  Returns the number of entries retained.
 
         Raises:
             CacheLoadError: if the file is missing, corrupt, or was written
@@ -1406,135 +1193,24 @@ class BatchFeatureService:
                 "cannot load a persistent cache into a caching-disabled "
                 "service (cache_size=0)"
             )
-        entries, stats = self._read_cache_file(path)
+        entries, stats = _read_cache_file(
+            path, magic=CACHE_FILE_MAGIC, version=CACHE_FILE_VERSION
+        )
+        values = iter(int(value) for value in stats)
         with self._lock:
             self._cache = OrderedDict(entries)
             if grow and len(self._cache) > self._cache_size:
                 self._cache_size = len(self._cache)
-            (
-                self.stats.hits, self.stats.misses, self.stats.evictions,
-                self.sequence_stats.hits, self.sequence_stats.misses,
-                self.sequence_stats.evictions,
-                self.ngram_stats.hits, self.ngram_stats.misses,
-                self.ngram_stats.evictions,
-                self.kernel_passes,
-            ) = (int(value) for value in stats)
+            self._stats = {view: CacheStats() for view in VIEWS}
+            for view in _FILE_STAT_VIEWS:
+                restored = self._stats[view]
+                restored.hits, restored.misses, restored.evictions = (
+                    next(values), next(values), next(values)
+                )
+            self.kernel_passes = next(values)
             while len(self._cache) > self._cache_size:
                 self._evict_lru()
             return len(self._cache)
-
-    @staticmethod
-    def _read_cache_file(
-        path: Union[str, Path],
-    ) -> Tuple[List[Tuple[bytes, _CacheEntry]], np.ndarray]:
-        required = {
-            "stats", "keys",
-            "count_rows", "count_data",
-            "seq_rows", "seq_lengths", "seq_opcodes", "seq_widths",
-            "ngram_rows", "ngram_sizes", "ngram_lengths", "ngram_data",
-        }
-        with open_validated_npz(
-            path,
-            magic=CACHE_FILE_MAGIC,
-            version=CACHE_FILE_VERSION,
-            required=required,
-            error=CacheLoadError,
-        ) as data:
-            stats = np.asarray(data["stats"], dtype=np.int64)
-            if stats.shape != (10,):
-                raise CacheLoadError(f"cache file {path} has malformed stats")
-            keys_array = data["keys"]
-            if keys_array.ndim != 2 or keys_array.shape[1] != 16:
-                raise CacheLoadError(f"cache file {path} has malformed keys")
-            n = keys_array.shape[0]
-            entries: List[Tuple[bytes, _CacheEntry]] = [
-                (keys_array[i].astype(np.uint8).tobytes(), _CacheEntry())
-                for i in range(n)
-            ]
-            def valid_rows(rows: np.ndarray) -> bool:
-                return bool(((rows >= 0) & (rows < n)).all())
-
-            count_rows = data["count_rows"]
-            count_data = data["count_data"]
-            if (
-                count_data.shape != (count_rows.shape[0], 256)
-                or not valid_rows(count_rows)
-                or (count_data.size and (count_data < 0).any())
-            ):
-                raise CacheLoadError(f"cache file {path} has malformed counts")
-            for row, vector in zip(count_rows.tolist(), count_data):
-                vector = np.array(vector, dtype=np.int64)
-                vector.setflags(write=False)
-                entries[row][1].counts = vector
-            seq_rows = data["seq_rows"].tolist()
-            seq_lengths = data["seq_lengths"]
-            seq_opcodes = data["seq_opcodes"]
-            seq_widths = data["seq_widths"]
-            total = int(seq_lengths.sum()) if seq_lengths.size else 0
-            if (
-                seq_lengths.shape[0] != len(seq_rows)
-                or seq_opcodes.shape[0] != total
-                or seq_widths.shape[0] != total
-                or not valid_rows(data["seq_rows"])
-                or (seq_lengths.size and (seq_lengths < 0).any())
-            ):
-                raise CacheLoadError(f"cache file {path} has malformed sequences")
-            if seq_opcodes.size and not (
-                ((seq_opcodes >= 0) & (seq_opcodes <= 255)).all()
-                and _DEFINED_OPCODES[seq_opcodes].all()
-                and ((seq_widths >= 0) & (seq_widths <= 32)).all()
-            ):
-                raise CacheLoadError(
-                    f"cache file {path} carries out-of-range sequence values"
-                )
-            offset = 0
-            for row, length in zip(seq_rows, seq_lengths.tolist()):
-                sequence = OpcodeSequence(
-                    opcodes=seq_opcodes[offset : offset + length].astype(np.uint8),
-                    widths=seq_widths[offset : offset + length].astype(np.uint8),
-                )
-                entries[row][1].sequence = _freeze_sequence(sequence)
-                offset += length
-            ngram_rows = data["ngram_rows"].tolist()
-            ngram_sizes = data["ngram_sizes"].tolist()
-            ngram_lengths = data["ngram_lengths"]
-            ngram_data = data["ngram_data"]
-            total = int(ngram_lengths.sum()) if ngram_lengths.size else 0
-            if (
-                ngram_lengths.shape[0] != len(ngram_rows)
-                or len(ngram_sizes) != len(ngram_rows)
-                or ngram_data.shape[0] != total
-                or not valid_rows(data["ngram_rows"])
-                or (ngram_lengths.size and (ngram_lengths < 0).any())
-                or any(not 1 <= size <= MAX_NGRAM_BYTES for size in ngram_sizes)
-                or (ngram_data.size and (ngram_data < 0).any())
-            ):
-                raise CacheLoadError(f"cache file {path} has malformed n-grams")
-            offset = 0
-            for row, size, length in zip(ngram_rows, ngram_sizes, ngram_lengths.tolist()):
-                codes = ngram_data[offset : offset + length].astype(np.int64)
-                codes.setflags(write=False)
-                entries[row][1].ngrams[size] = codes
-                offset += length
-            # Optional analysis view: absent from files written before the
-            # CFG-metrics block existed (same format version; see save()).
-            if "analysis_rows" in data.files and "analysis_data" in data.files:
-                analysis_rows = data["analysis_rows"]
-                analysis_data = data["analysis_data"]
-                if (
-                    analysis_data.shape
-                    != (analysis_rows.shape[0], len(CFG_METRIC_NAMES))
-                    or not valid_rows(analysis_rows)
-                    or (analysis_data.size and not np.isfinite(analysis_data).all())
-                ):
-                    raise CacheLoadError(
-                        f"cache file {path} has malformed analysis metrics"
-                    )
-                for row, vector in zip(analysis_rows.tolist(), analysis_data):
-                    vector = np.array(vector, dtype=np.float64)
-                    vector.setflags(write=False)
-                    entries[row][1].analysis = vector
-            return entries, stats
 
 
 # ----------------------------------------------------------------------------

@@ -1,23 +1,20 @@
 """Memmap-backed corpus blobs — the zero-copy corpus plane.
 
-Before this module, a corpus lived twice in RAM: once as Python ``bytes``
-in the parent process, and again as pickled chunk blobs shipped to every
-``ProcessPoolExecutor`` worker on every ``count_matrix`` call.  Both copies
-cap corpus size at memory, and the pickle round-trip taxes every batch.
-
-:class:`CorpusBlob` replaces the byte blobs with *spans*: one append-only
+:class:`CorpusBlob` keeps a corpus on disk as *spans*: one append-only
 bytes file holds every unique normalised bytecode back to back, an
 offset/content-hash index maps each bytecode's
 :func:`~repro.features.batch.content_key` to its ``(start, stop)`` span,
 and the whole file is exposed through a read-only ``numpy.memmap`` — so a
-corpus that dwarfs RAM is addressable as spans without ever being
-materialised.  Workers are sent ``(blob_path, [(start, stop), ...])``, open
-the blob read-only once per process (:func:`extract_blob_spans` caches the
-mapping), slice zero-copy views, and run the packed buffer kernels of
-:mod:`repro.evm.fastcount`; the thread backend slices the very same views
-in-process.  Results come back packed (one ``(n, 256)`` count matrix or one
-:class:`~repro.evm.fastcount.PackedSequences` triple per task) instead of
-one pickled object per bytecode.
+corpus that dwarfs RAM is addressable without ever being materialised.
+
+:func:`extract_spans` is the one kernel task of
+:class:`~repro.features.batch.BatchFeatureService`: it decodes a list of
+spans with :func:`~repro.evm.fastcount.sequence_buffer` and returns one
+:class:`~repro.evm.fastcount.PackedSequences`.  The spans index either a
+corpus blob — process workers receive ``(blob_path, spans)``, map the blob
+read-only once per process and slice zero-copy views, while threads slice
+the parent's own memmap — or a uint8 buffer holding the cache misses the
+blob does not index, staged back to back.
 
 On-disk format
 --------------
@@ -60,7 +57,7 @@ import numpy as np
 
 from ..persist import open_validated_npz, write_npz
 from ..evm.disassembler import BytecodeLike, normalize_bytecode
-from ..evm.fastcount import PackedSequences, count_buffer, sequence_buffer
+from ..evm.fastcount import PackedSequences, sequence_buffer
 from .batch import content_key
 
 #: 16-byte tag opening every blob data file.
@@ -76,9 +73,6 @@ INDEX_SUFFIX = ".idx.npz"
 #: File-name prefix of per-fingerprint blobs (``corpus-<fingerprint>.blob``).
 BLOB_FILE_PREFIX = "corpus-"
 
-#: Span-extraction result kinds the worker entry point accepts.
-SPAN_KINDS = ("sequences", "counts")
-
 
 class CorpusBlobError(RuntimeError):
     """A corpus blob or its index is missing, corrupt, or inconsistent."""
@@ -86,6 +80,30 @@ class CorpusBlobError(RuntimeError):
 
 def _pack_header() -> bytes:
     return BLOB_MAGIC + struct.pack("<I", BLOB_VERSION) + b"\x00" * 12
+
+
+def _gather(
+    data: np.ndarray, spans: Sequence[Tuple[int, int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(buffer, lengths)`` of ``spans`` of ``data``, zero-copy when contiguous.
+
+    Spans that tile one contiguous region — the common case: blob order is
+    first-seen order, misses are dispatched in that order, and staged
+    buffers are contiguous by construction — come back as a single slice;
+    arbitrary spans fall back to one gather copy of just the requested
+    bytes.
+    """
+    if len(spans) == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    array = np.asarray(spans, dtype=np.int64).reshape(len(spans), 2)
+    lengths = array[:, 1] - array[:, 0]
+    if (lengths < 0).any():
+        raise CorpusBlobError("negative-length span requested")
+    if bool((array[1:, 0] == array[:-1, 1]).all()):
+        return data[int(array[0, 0]) : int(array[-1, 1])], lengths
+    if not int(lengths.sum()):
+        return np.zeros(0, dtype=np.uint8), lengths
+    return np.concatenate([data[a:b] for a, b in array.tolist()]), lengths
 
 
 class CorpusBlob:
@@ -337,75 +355,49 @@ class CorpusBlob:
     def spans_buffer(
         self, spans: Sequence[Tuple[int, int]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(buffer, lengths)`` of ``spans``, zero-copy when contiguous.
-
-        Spans that tile one contiguous region — the common case, since blob
-        order is first-seen order and misses are dispatched in that order —
-        come back as a single memmap slice; arbitrary spans fall back to one
-        gather copy of just the requested bytes.
-        """
-        if not spans:
-            return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-        array = np.asarray(spans, dtype=np.int64).reshape(len(spans), 2)
-        lengths = array[:, 1] - array[:, 0]
-        if (lengths < 0).any():
-            raise CorpusBlobError("negative-length span requested")
-        contiguous = bool((array[1:, 0] == array[:-1, 1]).all())
-        if contiguous:
-            buffer = self.view(int(array[0, 0]), int(array[-1, 1]))
-        else:
-            buffer = (
-                np.concatenate([self.view(int(a), int(b)) for a, b in array.tolist()])
-                if int(lengths.sum())
-                else np.zeros(0, dtype=np.uint8)
+        """``(buffer, lengths)`` of ``spans``, zero-copy when contiguous."""
+        array = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+        if array.size and (
+            (array[:, 0] < BLOB_HEADER_SIZE) | (array[:, 1] > self.data_size)
+        ).any():
+            raise CorpusBlobError(
+                f"span outside corpus blob {self.path} "
+                f"(data ends at {self.data_size})"
             )
-        return buffer, lengths
-
-    def extract(self, spans: Sequence[Tuple[int, int]], kind: str):
-        """Run one packed kernel over ``spans``.
-
-        ``kind="sequences"`` returns a
-        :class:`~repro.evm.fastcount.PackedSequences`; ``kind="counts"``
-        returns an ``(n, 256)`` count matrix.  This is the worker-side unit
-        of the span-passing process backend — and the thread backend calls
-        it on the parent's own memmap.
-        """
-        if kind not in SPAN_KINDS:
-            raise ValueError(f"kind must be one of {SPAN_KINDS}, got {kind!r}")
-        buffer, lengths = self.spans_buffer(spans)
-        if kind == "sequences":
-            return sequence_buffer(buffer, lengths)
-        return count_buffer(buffer, lengths)
+        return _gather(self.data, array)
 
 
 # ----------------------------------------------------------------------------
-# Process-worker entry point
+# Kernel task entry point
 # ----------------------------------------------------------------------------
 
-#: Per-process cache of opened blobs, keyed by absolute path.  Worker
-#: processes are long-lived (the service keeps one pool across batches), so
-#: each worker maps a given blob exactly once; a span past the mapped size
-#: (the parent appended since) transparently remaps via ``CorpusBlob.data``.
+#: Per-process cache of opened blobs, keyed by path.  Worker processes are
+#: long-lived (the service keeps one pool across batches), so each worker
+#: maps a given blob once; a span past the mapped size (the parent appended
+#: since) reopens it.
 _WORKER_BLOBS: Dict[str, CorpusBlob] = {}
 
 
-def extract_blob_spans(
-    blob_path: str, spans: Sequence[Tuple[int, int]], kind: str
-):
-    """Extract ``spans`` of the blob at ``blob_path`` (process-pool target).
+def extract_spans(
+    source: Union[str, CorpusBlob, np.ndarray], spans: Sequence[Tuple[int, int]]
+) -> PackedSequences:
+    """Decode ``spans`` of ``source`` — the one kernel task of every miss.
 
-    This module-level function is what the process backend pickles to its
-    workers instead of chunk byte blobs: the arguments are one short path
-    string and an ``(n, 2)`` span list, independent of corpus size.
+    ``source`` is a corpus-blob path (what the process backend pickles to
+    its workers: one short string, whatever the corpus size), an open
+    :class:`CorpusBlob` (threads and inline calls slice the parent's
+    memmap), or a uint8 buffer of staged bytecodes (``spans`` are offsets
+    into it).
     """
-    blob = _WORKER_BLOBS.get(blob_path)
-    if blob is None:
-        blob = CorpusBlob.open(blob_path)
-        _WORKER_BLOBS[blob_path] = blob
-    needed = max((stop for _, stop in spans), default=0)
-    if needed > blob.data_size:
-        # The parent appended after this worker first mapped the blob;
-        # reopen to pick up the grown index/data.
-        blob = CorpusBlob.open(blob_path)
-        _WORKER_BLOBS[blob_path] = blob
-    return blob.extract(spans, kind)
+    if isinstance(source, str):
+        blob = _WORKER_BLOBS.get(source)
+        stops = np.asarray(spans, dtype=np.int64).reshape(-1, 2)[:, 1]
+        if blob is None or (stops.size and int(stops.max()) > blob.data_size):
+            # First use in this worker, or the parent appended since this
+            # worker mapped the blob: reopen to pick up the grown index/data.
+            blob = CorpusBlob.open(source)
+            _WORKER_BLOBS[source] = blob
+        source = blob
+    if isinstance(source, CorpusBlob):
+        return sequence_buffer(*source.spans_buffer(spans))
+    return sequence_buffer(*_gather(source, spans))

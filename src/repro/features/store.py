@@ -46,9 +46,9 @@ Two disk planes compose with the ``.npz`` warm starts:
 * **Corpus blobs** (``Scale.corpus_blob_dir`` → ``blob_dir``): sessions
   build-or-open the memmap-backed ``corpus-<fingerprint>.blob``
   (:class:`~repro.features.corpus.CorpusBlob`) and attach it to the
-  service, so extraction goes through zero-copy spans instead of pickled
-  byte blobs — fig2/fig3/table2/scalability build the blob once and every
-  later run extracts from it.
+  service, so cache misses are decoded straight from the memmap instead of
+  staged copies — fig2/fig3/table2/scalability build the blob once and
+  every later run extracts from it.
 * **Eviction spill** (automatic under ``<cache_dir>/spill``): session
   services write evicted entries' persistable views to content-addressed
   spill files and read them back on demand, so LRU pressure degrades to a
@@ -66,6 +66,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from ..evm.disassembler import BytecodeLike, normalize_bytecode
 from .batch import (
     CACHE_FILE_VERSION,
+    DEFAULT_CHUNK_SIZE,
     BatchFeatureService,
     CacheLoadError,
     content_key,
@@ -253,7 +254,7 @@ class FeatureStore:
             ``"process"``, see :class:`BatchFeatureService`).
         blob_dir: Optional directory of memmap corpus blobs.  When set, each
             session builds-or-opens ``corpus-<fingerprint>.blob`` there and
-            attaches it to the service, turning on the zero-copy span path.
+            attaches it to the service, so misses are decoded from its memmap.
 
     When ``cache_dir`` is set, session services also spill evicted entries
     to ``<cache_dir>/spill`` (content-addressed, shared across corpora), so
@@ -268,7 +269,7 @@ class FeatureStore:
         cache_dir: Optional[Union[str, Path]],
         cache_size: int = 4096,
         max_workers: Optional[int] = None,
-        chunk_size: int = 64,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         executor: str = "thread",
         blob_dir: Optional[Union[str, Path]] = None,
     ):
@@ -313,7 +314,7 @@ class FeatureStore:
 
         A blob that cannot be created (unwritable directory, corrupt beyond
         the rebuild :meth:`CorpusBlob.for_corpus` already performs) degrades
-        to the pickled-chunk path rather than failing the experiment.
+        to staging misses in memory rather than failing the experiment.
         """
         if self.blob_dir is None:
             return None

@@ -58,9 +58,7 @@ Above the single-chain pipeline sits the fan-in supervisor
 simulated chain (distinct ``eth_chainId``, seed and schedule; per-chain
 checkpoints under one directory), all scoring through one **shared**
 :class:`~repro.serving.ScoringService` into one merged,
-deterministically-ordered alert stream, with
-:func:`~repro.monitor.multichain.shard_for` providing the consistent-hash
-routing for splitting caches across worker shards.
+deterministically-ordered alert stream.
 
 Knobs come from :class:`~repro.core.config.Scale`'s ``monitor_*`` fields
 via :meth:`~repro.monitor.pipeline.MonitorConfig.from_scale` and
@@ -87,9 +85,7 @@ from .multichain import (
     MultiChainConfig,
     MultiChainMonitor,
     MultiChainStats,
-    ShardRouter,
     chain_stream_configs,
-    shard_for,
 )
 from .pipeline import (
     Alert,
@@ -115,9 +111,7 @@ __all__ = [
     "MultiChainConfig",
     "MultiChainMonitor",
     "MultiChainStats",
-    "ShardRouter",
     "chain_stream_configs",
-    "shard_for",
     "Alert",
     "AlertSink",
     "JsonlSink",

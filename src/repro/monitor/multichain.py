@@ -25,24 +25,11 @@ uninterrupted run would have made: the merged alert stream (verdict and
 impersonation alerts alike) and every chain's drift-window sequence
 continue bit-for-bit.  A process-local round counter could not offer that
 (after a restart it would re-interleave the chains differently).
-
-Sharding
---------
-
-:func:`shard_for` / :class:`ShardRouter` provide the consistent-hash
-routing under which the feature and verdict caches can later split across
-worker processes: bytecodes are assigned to shards by ring position of
-their content hash, so growing the worker pool by one shard remaps only the
-keys adjacent to the new shard's ring points (≈ ``1/(n+1)`` of the keyspace)
-instead of reshuffling everything the way ``hash % n`` would.
 """
 
 from __future__ import annotations
 
-import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,83 +39,11 @@ from .checkpoint import Checkpoint
 from .pipeline import AlertSink, ListSink, MonitorConfig, MonitorPipeline, MonitorStats
 
 __all__ = [
-    "ShardRouter",
-    "shard_for",
     "MultiChainConfig",
     "MultiChainStats",
     "MultiChainMonitor",
     "chain_stream_configs",
 ]
-
-
-# ----------------------------------------------------------------------
-# consistent-hash shard routing
-# ----------------------------------------------------------------------
-
-
-class ShardRouter:
-    """Consistent-hash ring mapping content hashes to shard indexes.
-
-    Each shard owns ``replicas`` pseudo-random points on a 64-bit ring; a
-    key routes to the shard owning the first point at or after the key's
-    own ring position (wrapping).  Deterministic across processes (the ring
-    is derived purely from shard indexes), balanced to within a few percent
-    at the default replica count, and *stable under resharding*: adding a
-    shard moves only the keys that fall between the new shard's points and
-    their predecessors.
-
-    Args:
-        n_shards: Number of shards (worker processes) on the ring.
-        replicas: Ring points per shard; more points = better balance at
-            slightly larger routing tables.
-    """
-
-    def __init__(self, n_shards: int, replicas: int = 96):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.n_shards = n_shards
-        self.replicas = replicas
-        ring: List[Tuple[int, int]] = []
-        for shard in range(n_shards):
-            for replica in range(replicas):
-                ring.append((self._point(f"shard:{shard}:{replica}".encode()), shard))
-        ring.sort()
-        self._points = [point for point, _ in ring]
-        self._shards = [shard for _, shard in ring]
-
-    @staticmethod
-    def _point(data: bytes) -> int:
-        return int.from_bytes(
-            hashlib.blake2b(data, digest_size=8).digest(), "big"
-        )
-
-    def shard_for(self, content_hash: Union[bytes, str]) -> int:
-        """The shard owning ``content_hash`` (bytes digest or hex string)."""
-        if isinstance(content_hash, str):
-            text = content_hash[2:] if content_hash.startswith(("0x", "0X")) else content_hash
-            data = text.encode("ascii")
-        else:
-            data = bytes(content_hash)
-        index = bisect_right(self._points, self._point(data)) % len(self._points)
-        return self._shards[index]
-
-
-@lru_cache(maxsize=32)
-def _router(n_shards: int) -> ShardRouter:
-    return ShardRouter(n_shards)
-
-
-def shard_for(content_hash: Union[bytes, str], n_shards: int) -> int:
-    """Route a content hash onto one of ``n_shards`` (module-level ring).
-
-    The stateless convenience over :class:`ShardRouter`: every process that
-    calls this with the same arguments routes the same key to the same
-    shard, which is what lets feature/verdict caches split across worker
-    processes without a coordination service.
-    """
-    return _router(n_shards).shard_for(content_hash)
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +59,6 @@ class MultiChainConfig:
         n_chains: How many chains the deployment watches (builders like
             :func:`chain_stream_configs` and the example use it; the
             supervisor itself monitors whatever nodes it is given).
-        n_shards: Shard count of the consistent-hash cache router.
         monitor: Per-chain pipeline knobs (confirmation depth, poll window,
             drift telemetry, impersonation registry).
         impersonation: Whether each chain runs the bytecode-free
@@ -152,22 +66,18 @@ class MultiChainConfig:
     """
 
     n_chains: int = 2
-    n_shards: int = 4
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     impersonation: bool = True
 
     def __post_init__(self) -> None:
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
 
     @classmethod
     def from_scale(cls, scale) -> "MultiChainConfig":
         """Build the config from a :class:`~repro.core.config.Scale`."""
         return cls(
             n_chains=scale.monitor_chains,
-            n_shards=scale.monitor_shards,
             monitor=MonitorConfig.from_scale(scale),
         )
 
@@ -269,7 +179,6 @@ class MultiChainMonitor:
         self.config = config or MultiChainConfig()
         self.sink: AlertSink = sink if sink is not None else ListSink()
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-        self.router = ShardRouter(self.config.n_shards)
         chain_ids = [int(getattr(node, "chain_id", 0) or 0) for node in nodes]
         if not chain_ids:
             raise ValueError("at least one chain node is required")
@@ -337,10 +246,6 @@ class MultiChainMonitor:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-
-    def shard_for(self, content_hash: Union[bytes, str]) -> int:
-        """Route a content hash through this deployment's shard ring."""
-        return self.router.shard_for(content_hash)
 
     def stats(self) -> MultiChainStats:
         """Aggregate snapshot across every chain (cumulative counters)."""

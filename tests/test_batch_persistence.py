@@ -16,6 +16,7 @@ from repro.features.batch import (
     CACHE_FILE_MAGIC,
     BatchFeatureService,
     CacheLoadError,
+    CacheStats,
     CacheWriteError,
 )
 
@@ -71,6 +72,31 @@ class TestRoundTrip:
         assert restored.sequence_stats == service.sequence_stats
         assert restored.ngram_stats == service.ngram_stats
         assert restored.kernel_passes == service.kernel_passes
+
+    def test_load_resets_counters_the_file_does_not_record(self, tmp_path):
+        # The file records hits/misses/evictions of three views plus the
+        # kernel passes; every other live counter (spills, spill hits, the
+        # byte/image/analysis views) must not survive a load either.
+        codes = make_codes(4, seed=12)
+        writer = populated_service(codes)
+        path = tmp_path / "cache.npz"
+        writer.save(path)
+        service = BatchFeatureService(cache_size=1, spill_dir=tmp_path / "spill")
+        service.count_vector(codes[0])
+        service.count_vector(codes[1])  # evicts and spills codes[0]
+        service.count_vector(codes[0])  # spill hit
+        service.byte_counts(codes[0])
+        service.r2d2_image(codes[0], 8)
+        service.analysis_vector(codes[0])
+        assert service.stats.spills >= 1 and service.stats.spill_hits == 1
+        service.load(path, grow=True)
+        assert service.stats == writer.stats
+        assert service.sequence_stats == writer.sequence_stats
+        assert service.ngram_stats == writer.ngram_stats
+        assert service.kernel_passes == writer.kernel_passes
+        assert service.byte_stats == CacheStats()
+        assert service.image_stats == CacheStats()
+        assert service.analysis_stats == CacheStats()
 
     def test_empty_service_round_trips(self, tmp_path):
         path = tmp_path / "empty.npz"

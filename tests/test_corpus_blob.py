@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.evm.fastcount import sequence_batch
+from repro.evm.fastcount import count_opcodes, opcode_sequence
 from repro.features.batch import BatchFeatureService, content_key
 from repro.features.corpus import (
     BLOB_HEADER_SIZE,
@@ -20,7 +20,7 @@ from repro.features.corpus import (
     BLOB_VERSION,
     CorpusBlob,
     CorpusBlobError,
-    extract_blob_spans,
+    extract_spans,
 )
 from repro.features.store import corpus_fingerprint
 
@@ -182,31 +182,26 @@ class TestSpanExtraction:
                 seen.add(key)
                 unique.append(code)
         spans = [blob.span(content_key(code)) for code in unique]
-        expected = sequence_batch(unique)
-        for got, want in zip(blob.extract(spans, "sequences").split(), expected):
+        packed = extract_spans(blob, spans)
+        for got, code in zip(packed.split(), unique):
+            want = opcode_sequence(code)
             assert np.array_equal(got.opcodes, want.opcodes)
             assert np.array_equal(got.widths, want.widths)
-        matrix = blob.extract(spans, "counts")
-        for row, want in zip(matrix, expected):
-            assert np.array_equal(row, want.counts())
-
-    def test_extract_rejects_unknown_kind(self, tmp_path):
-        blob = CorpusBlob.create(tmp_path / "corpus.blob")
-        with pytest.raises(ValueError):
-            blob.extract([], "histograms")
+        for row, code in zip(packed.counts(), unique):
+            assert np.array_equal(row, count_opcodes(code))
 
     def test_worker_entry_point_reopens_after_append(self, tmp_path):
-        # extract_blob_spans caches blobs per process; a span past the
-        # cached mapping (the parent appended since) must remap, not fail.
+        # extract_spans caches blobs per process; a span past the cached
+        # mapping (the parent appended since) must remap, not fail.
         first, second = make_codes(2, seed=8, max_len=50)
         blob = CorpusBlob.create(tmp_path / "corpus.blob")
         blob.append([first])
         span1 = blob.span(content_key(first))
-        extract_blob_spans(str(blob.path), [span1], "counts")
+        extract_spans(str(blob.path), [span1])
         blob.append([second])
         span2 = blob.span(content_key(second))
-        matrix = extract_blob_spans(str(blob.path), [span2], "counts")
-        assert np.array_equal(matrix[0], sequence_batch([second])[0].counts())
+        matrix = extract_spans(str(blob.path), [span2]).counts()
+        assert np.array_equal(matrix[0], count_opcodes(second))
 
 
 class TestServiceBitIdentity:
@@ -236,7 +231,7 @@ class TestServiceBitIdentity:
             executor=executor,
             max_workers=workers,
             corpus_blob=blob,
-            span_chunk_size=8,
+            chunk_size=8,
         )
         try:
             assert np.array_equal(service.count_matrix(corpus), ref_counts)
@@ -259,8 +254,8 @@ class TestServiceBitIdentity:
         assert np.array_equal(service.count_matrix(corpus), ref_counts)
 
     def test_blob_misses_fall_back_to_byte_path(self, tmp_path, corpus):
-        # A blob covering only part of the corpus: indexed keys take spans,
-        # the rest the pickled-chunk path, results merge bit-identically.
+        # A blob covering only part of the corpus: indexed keys take blob
+        # spans, the rest are staged in memory; results merge bit-identically.
         half = corpus[: len(corpus) // 2]
         blob = CorpusBlob.for_corpus(tmp_path, half, corpus_fingerprint(half))
         reference = BatchFeatureService()
@@ -277,3 +272,66 @@ class TestServiceBitIdentity:
         assert np.array_equal(
             service.count_matrix(corpus), reference.count_matrix(corpus)
         )
+
+    def test_scalar_lookups_read_the_blob(self, corpus, blob, monkeypatch):
+        # count_vector/sequence misses of blob-indexed codes are decoded
+        # from the memmap like batch misses: nothing is staged in memory.
+        import repro.features.batch as batch
+
+        def no_staging(codes):
+            raise AssertionError("a blob-indexed miss was staged")
+
+        monkeypatch.setattr(batch, "pack_codes", no_staging)
+        service = BatchFeatureService(corpus_blob=blob)
+        assert np.array_equal(service.count_vector(corpus[0]), count_opcodes(corpus[0]))
+        got = service.sequence(corpus[1])
+        assert np.array_equal(got.opcodes, opcode_sequence(corpus[1]).opcodes)
+        assert service.kernel_passes == 2
+
+
+class TestOneMissPath:
+    """Every view equals the per-code references on every route a miss can
+    take: inline, thread or process; blob or staged buffer; cache on or off."""
+
+    @pytest.mark.parametrize("cache_size", [4096, 0])
+    @pytest.mark.parametrize("use_blob", [True, False])
+    @pytest.mark.parametrize("executor,workers", TestServiceBitIdentity.EXECUTORS)
+    def test_every_view_matches_per_code_references(
+        self, tmp_path, executor, workers, use_blob, cache_size
+    ):
+        from repro.evm.cfg import cfg_metrics_vector
+        from repro.features.rawbytes import byte_count_vector, r2d2_image_from_bytes
+
+        codes = make_codes(20, seed=21)
+        corpus = codes + codes[:4]
+        blob = (
+            CorpusBlob.for_corpus(tmp_path, corpus, corpus_fingerprint(corpus))
+            if use_blob
+            else None
+        )
+        with BatchFeatureService(
+            cache_size=cache_size,
+            max_workers=workers,
+            executor=executor,
+            chunk_size=4,
+            corpus_blob=blob,
+        ) as service:
+            counts = service.count_matrix(corpus)
+            sequences = service.sequences(corpus)
+            ngrams = service.ngram_codes_batch(corpus, 2)
+            analysis = service.analysis_matrix(corpus)
+            byte_counts = service.byte_count_matrix(corpus)
+            images = service.r2d2_images(corpus, 8)
+            scalar = [service.count_vector(code) for code in corpus]
+        for row, code in enumerate(corpus):
+            want = opcode_sequence(code)
+            assert np.array_equal(counts[row], count_opcodes(code))
+            assert np.array_equal(scalar[row], count_opcodes(code))
+            assert np.array_equal(sequences[row].opcodes, want.opcodes)
+            assert np.array_equal(sequences[row].widths, want.widths)
+            assert np.array_equal(
+                ngrams[row], BatchFeatureService(cache_size=0).ngram_codes(code, 2)
+            )
+            assert np.array_equal(analysis[row], cfg_metrics_vector(code))
+            assert np.array_equal(byte_counts[row], byte_count_vector(code))
+            assert np.array_equal(images[row], r2d2_image_from_bytes(code, 8))

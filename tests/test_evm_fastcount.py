@@ -18,7 +18,6 @@ from repro.evm.fastcount import (
     INVALID_BIN,
     MNEMONIC_BINS,
     bins_for_mnemonics,
-    count_batch,
     count_many,
     count_opcodes,
     instruction_count,
@@ -65,7 +64,7 @@ class TestKernelEquivalence:
 
     def test_batch_matches_single(self):
         codes = random_bytecodes(80, seed=7)
-        matrix = count_batch(codes)
+        matrix = count_many(codes)
         assert matrix.shape == (len(codes), 256)
         for row, code in enumerate(codes):
             assert np.array_equal(matrix[row], count_opcodes(code))
@@ -143,12 +142,12 @@ class TestHelpers:
 
 
 class TestBufferKernels:
-    """The packed span-path kernels vs. the per-code batch kernels.
+    """The packed buffer kernel vs. the per-code reference kernels.
 
-    ``sequence_buffer``/``count_buffer`` are what blob-span workers run over
-    memmap views; they must be bit-identical to ``sequence_batch``/
-    ``count_batch`` on the equivalent bytes list, or the zero-copy corpus
-    plane would silently change features.
+    ``sequence_buffer`` is what every cache miss runs on, over memmap views
+    of a corpus blob or over staged in-memory buffers; it must be
+    bit-identical to ``opcode_sequence``/``count_opcodes`` on each code, or
+    the feature plane would silently change features.
     """
 
     @staticmethod
@@ -159,26 +158,26 @@ class TestBufferKernels:
         lengths = np.array([len(code) for code in codes], dtype=np.int64)
         return sequence_buffer(buffer, lengths)
 
-    def test_sequence_buffer_matches_sequence_batch(self):
-        from repro.evm.fastcount import sequence_batch
+    def test_sequence_buffer_matches_per_code_kernel(self):
+        from repro.evm.fastcount import opcode_sequence
 
         codes = random_bytecodes(120, seed=11)
-        expected = sequence_batch(codes)
         split = self._pack(codes).split()
-        assert len(split) == len(expected)
-        for got, want in zip(split, expected):
+        assert len(split) == len(codes)
+        for got, code in zip(split, codes):
+            want = opcode_sequence(code)
             assert np.array_equal(got.opcodes, want.opcodes)
             assert np.array_equal(got.widths, want.widths)
             assert got.opcodes.dtype == want.opcodes.dtype
             assert got.widths.dtype == want.widths.dtype
 
-    def test_count_buffer_matches_count_batch(self):
-        from repro.evm.fastcount import count_buffer
-
+    def test_packed_counts_match_count_opcodes(self):
         codes = random_bytecodes(120, seed=12)
-        buffer = np.frombuffer(b"".join(codes), dtype=np.uint8)
-        lengths = np.array([len(code) for code in codes], dtype=np.int64)
-        assert np.array_equal(count_buffer(buffer, lengths), count_batch(codes))
+        matrix = self._pack(codes).counts()
+        assert matrix.shape == (len(codes), 256)
+        assert matrix.dtype == np.int64
+        for row, code in zip(matrix, codes):
+            assert np.array_equal(row, count_opcodes(code))
 
     def test_packed_counts_match_per_sequence_counts(self):
         codes = random_bytecodes(60, seed=13)
@@ -188,7 +187,7 @@ class TestBufferKernels:
             assert np.array_equal(row, sequence.counts())
 
     def test_edge_cases(self):
-        from repro.evm.fastcount import sequence_batch
+        from repro.evm.fastcount import opcode_sequence
 
         cases = [
             [],
@@ -200,31 +199,31 @@ class TestBufferKernels:
             [b"", bytes([0x60, 0x61]), b"", bytes([0x00])],
         ]
         for codes in cases:
-            expected = sequence_batch(codes)
             split = self._pack(codes).split()
-            for got, want in zip(split, expected):
+            assert len(split) == len(codes)
+            for got, code in zip(split, codes):
+                want = opcode_sequence(code)
                 assert np.array_equal(got.opcodes, want.opcodes), codes
                 assert np.array_equal(got.widths, want.widths), codes
 
     def test_memmap_views_accepted(self, tmp_path):
-        from repro.evm.fastcount import count_buffer, sequence_batch, sequence_buffer
+        from repro.evm.fastcount import opcode_sequence, sequence_buffer
 
         codes = random_bytecodes(30, seed=14)
         blob = tmp_path / "codes.bin"
         blob.write_bytes(b"".join(codes))
         mapped = np.memmap(blob, dtype=np.uint8, mode="r")
         lengths = np.array([len(code) for code in codes], dtype=np.int64)
-        expected = sequence_batch(codes)
-        for got, want in zip(sequence_buffer(mapped, lengths).split(), expected):
-            assert np.array_equal(got.opcodes, want.opcodes)
-        assert np.array_equal(count_buffer(mapped, lengths), count_batch(codes))
+        packed = sequence_buffer(mapped, lengths)
+        for got, code in zip(packed.split(), codes):
+            assert np.array_equal(got.opcodes, opcode_sequence(code).opcodes)
+        for row, code in zip(packed.counts(), codes):
+            assert np.array_equal(row, count_opcodes(code))
 
     def test_length_mismatch_rejected(self):
-        from repro.evm.fastcount import count_buffer, sequence_buffer
+        from repro.evm.fastcount import sequence_buffer
 
         buffer = np.zeros(10, dtype=np.uint8)
         lengths = np.array([4, 4], dtype=np.int64)
         with pytest.raises(ValueError):
             sequence_buffer(buffer, lengths)
-        with pytest.raises(ValueError):
-            count_buffer(buffer, lengths)

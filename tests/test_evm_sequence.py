@@ -18,7 +18,6 @@ from repro.evm.fastcount import (
     count_opcodes,
     mnemonic_sequence,
     opcode_sequence,
-    sequence_batch,
     sequence_many,
 )
 
@@ -75,7 +74,7 @@ class TestSequenceEquivalence:
 
     def test_batch_matches_single(self):
         codes = random_bytecodes(80, seed=7)
-        sequences = sequence_batch(codes)
+        sequences = sequence_many(codes)
         assert len(sequences) == len(codes)
         for code, sequence in zip(codes, sequences):
             single = opcode_sequence(code)
@@ -85,7 +84,7 @@ class TestSequenceEquivalence:
     @pytest.mark.slow
     def test_matches_disassembler_on_large_random_sweep(self):
         codes = random_bytecodes(600, seed=99, max_length=4096)
-        for code, sequence in zip(codes, sequence_batch(codes)):
+        for code, sequence in zip(codes, sequence_many(codes)):
             assert_sequence_matches_disassembler(code, sequence)
 
     def test_empty_inputs(self):
@@ -145,7 +144,7 @@ class TestSequenceEquivalence:
 
     def test_batch_with_empty_codes_interleaved(self):
         codes = [b"", bytes([0x60, 0x01, 0x00]), b"", bytes([0x01])]
-        sequences = sequence_batch(codes)
+        sequences = sequence_many(codes)
         assert [len(sequence) for sequence in sequences] == [0, 2, 0, 1]
         assert sequences[1].mnemonics() == ["PUSH1", "STOP"]
         assert sequences[3].mnemonics() == ["ADD"]

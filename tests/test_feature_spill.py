@@ -8,14 +8,17 @@ spill directory), since spill files are keyed by content hash, not by
 service identity.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.evm.cfg import cfg_metrics_vector
-from repro.evm.fastcount import count_opcodes, sequence_batch
+from repro.evm.fastcount import count_opcodes, opcode_sequence
 from repro.features.batch import (
     BatchFeatureService,
     SPILL_FILE_MAGIC,
+    SPILL_FILE_VERSION,
     content_key,
 )
 
@@ -70,7 +73,7 @@ class TestEvictionSpills:
         service.sequences(codes)
         passes = service.kernel_passes
         got = service.sequence(codes[0])
-        want = sequence_batch([codes[0]])[0]
+        want = opcode_sequence(codes[0])
         assert np.array_equal(got.opcodes, want.opcodes)
         assert np.array_equal(got.widths, want.widths)
         assert service.kernel_passes == passes
@@ -163,6 +166,40 @@ class TestEvictionSpills:
         vector = service.count_vector(a)
         assert np.array_equal(vector, count_opcodes(a))
         assert service.kernel_passes == passes + 1  # recomputed
+        assert service.stats.spill_hits == 0
+        assert not path.exists()
+
+    def test_spill_file_of_another_contract_reads_as_miss(self, tmp_path):
+        # Spill files are named by content hash, but the name is not
+        # trusted: a file holding another contract's views must never be
+        # served for this one.
+        service = BatchFeatureService(cache_size=1, spill_dir=tmp_path)
+        a, b, c = make_codes(3, seed=15)
+        service.count_vector(a)
+        service.count_vector(b)  # spills a
+        impostor = tmp_path / f"spill-{content_key(c).hex()}.npz"
+        shutil.copy(tmp_path / f"spill-{content_key(a).hex()}.npz", impostor)
+        passes = service.kernel_passes
+        vector = service.count_vector(c)
+        assert np.array_equal(vector, count_opcodes(c))
+        assert service.kernel_passes == passes + 1  # recomputed
+        assert service.stats.spill_hits == 0
+        assert not impostor.exists()
+
+    def test_old_spill_format_reads_as_miss(self, tmp_path):
+        service = BatchFeatureService(cache_size=1, spill_dir=tmp_path)
+        a, b = make_codes(2, seed=16)
+        service.count_vector(a)
+        service.count_vector(b)  # spills a
+        path = tmp_path / f"spill-{content_key(a).hex()}.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["version"] = np.array([SPILL_FILE_VERSION - 1], dtype=np.int64)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        passes = service.kernel_passes
+        assert np.array_equal(service.count_vector(a), count_opcodes(a))
+        assert service.kernel_passes == passes + 1
         assert service.stats.spill_hits == 0
         assert not path.exists()
 

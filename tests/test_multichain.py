@@ -18,9 +18,7 @@ from repro.monitor import (
     ImpersonationDetector,
     MultiChainConfig,
     MultiChainMonitor,
-    ShardRouter,
     chain_stream_configs,
-    shard_for,
 )
 from repro.serving import ScoringService
 
@@ -55,54 +53,6 @@ def _mine(stream_config, blocks=N_BLOCKS):
 def _nodes(n_chains=3, **overrides):
     kwargs = {"seed": 67, "deploys_per_block": 2.0, "phishing_share": 0.3, **overrides}
     return [_mine(config) for config in chain_stream_configs(n_chains, BlockStreamConfig(**kwargs))]
-
-
-# ----------------------------------------------------------------------
-# consistent-hash shard routing
-# ----------------------------------------------------------------------
-
-
-class TestShardRouter:
-    def test_deterministic_across_instances(self):
-        keys = [bytes([i, i // 3]) for i in range(200)]
-        first = [ShardRouter(5).shard_for(key) for key in keys]
-        second = [ShardRouter(5).shard_for(key) for key in keys]
-        assert first == second
-        assert [shard_for(key, 5) for key in keys] == first
-
-    def test_accepts_hex_strings_with_and_without_prefix(self):
-        assert shard_for("0xdeadbeef", 4) == shard_for("deadbeef", 4)
-
-    def test_all_shards_reachable_and_roughly_balanced(self):
-        router = ShardRouter(4)
-        counts = collections.Counter(
-            router.shard_for(i.to_bytes(4, "big")) for i in range(8192)
-        )
-        assert set(counts) == {0, 1, 2, 3}
-        mean = 8192 / 4
-        for count in counts.values():
-            assert 0.5 * mean < count < 1.5 * mean
-
-    def test_adding_a_shard_remaps_a_minority_of_keys(self):
-        # The consistent-hashing property: growing the ring by one shard
-        # moves only the keys adjacent to the new shard's points, unlike
-        # ``hash % n`` which reshuffles nearly everything.
-        keys = [i.to_bytes(4, "big") for i in range(8192)]
-        before = [shard_for(key, 4) for key in keys]
-        after = [shard_for(key, 5) for key in keys]
-        moved = sum(1 for old, new in zip(before, after) if old != new)
-        assert moved / len(keys) < 0.35  # ideal is 1/5; allow slack
-        # Keys that moved all went *to* the new shard (nothing shuffled
-        # between the surviving shards).
-        for old, new in zip(before, after):
-            if old != new:
-                assert new == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
-        with pytest.raises(ValueError):
-            ShardRouter(2, replicas=0)
 
 
 # ----------------------------------------------------------------------
@@ -438,17 +388,10 @@ class TestMultiChainMonitor:
                 MultiChainMonitor(service, [anonymous], config=_config())
 
     def test_from_scale_reads_multichain_knobs(self):
-        scale = Scale(monitor_chains=5, monitor_shards=8, monitor_poll_blocks=3)
+        scale = Scale(monitor_chains=5, monitor_poll_blocks=3)
         config = MultiChainConfig.from_scale(scale)
         assert config.n_chains == 5
-        assert config.n_shards == 8
         assert config.monitor.poll_blocks == 3
-
-    def test_shard_routing_exposed_on_monitor(self, detector):
-        nodes = _nodes(2)
-        with ScoringService(detector, node=nodes[0]) as service:
-            monitor = MultiChainMonitor(service, nodes, config=_config())
-            assert monitor.shard_for(b"\x01\x02\x03") == shard_for(b"\x01\x02\x03", 4)
 
     def test_aggregate_stats_roll_up(self, detector):
         nodes = _nodes(2)
