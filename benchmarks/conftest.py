@@ -10,6 +10,7 @@ inside ``benchmark.pedantic(rounds=1)``.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,10 @@ from repro.models.registry import DeepModelScale
 
 #: Where the bench-scale corpus is cached between benchmark runs.
 CORPUS_CACHE_DIR = Path(__file__).parent / ".corpus_cache"
+
+# The per-instruction reference extractors the fast-path benches time
+# against live in ``tests/oracles.py``.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,26 +1,28 @@
-"""Bench: vectorized opcode-count fast path vs. the per-instruction extractor.
+"""Bench: vectorized opcode-count fast path vs. the per-instruction oracle.
 
 Measures end-to-end histogram extraction (`fit_transform`) over the bench
-corpus on three paths — legacy per-instruction, fast uncached, fast with a
-warm cache — asserting bit-identical feature matrices and the fast path's
+corpus on three paths — the per-instruction ``OracleHistogram`` of
+``tests/oracles.py`` ("legacy"), fast uncached, fast with a warm cache —
+asserting bit-identical feature matrices and the fast path's
 throughput advantage.
 """
 
 import numpy as np
 
 from conftest import best_time
+from oracles import OracleHistogram
 
 from repro.features.batch import BatchFeatureService
 from repro.features.histogram import OpcodeHistogramExtractor
 
-#: Minimum acceptable speedup of the uncached fast path over the legacy path.
+#: Minimum acceptable speedup of the uncached fast path over the oracle arm.
 MIN_SPEEDUP = 5.0
 
 
 def test_bench_extraction_fastpath(benchmark, dataset):
     bytecodes = dataset.bytecodes
 
-    legacy = OpcodeHistogramExtractor(use_fast_path=False)
+    legacy = OracleHistogram()
     legacy_time, legacy_features = best_time(lambda: legacy.fit_transform(bytecodes))
 
     def fast_cold():

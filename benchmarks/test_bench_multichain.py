@@ -87,9 +87,7 @@ def test_bench_multichain_shared_service(benchmark, dataset):
             monitor = MultiChainMonitor(
                 service,
                 nodes,
-                config=MultiChainConfig(
-                    n_chains=N_CHAINS, monitor=monitor_config, impersonation=False
-                ),
+                config=MultiChainConfig(monitor=monitor_config, impersonation=False),
             )
             monitor.run()
             return monitor

@@ -1,28 +1,29 @@
-"""Bench: vectorized sequence fast path vs. the per-instruction extractors.
+"""Bench: vectorized sequence fast path vs. the per-instruction oracles.
 
 Measures end-to-end tokenizer and frequency-image extraction over the bench
-corpus on three paths — legacy per-instruction, fast uncached, fast with a
-warm shared cache — asserting bit-identical outputs and the fast path's
-throughput advantage.
+corpus on three paths — the per-instruction oracles of ``tests/oracles.py``
+("legacy"), fast uncached, fast with a warm shared cache — asserting
+bit-identical outputs and the fast path's throughput advantage.
 """
 
 import numpy as np
 
 from conftest import best_time
+from oracles import OracleFrequencyImage, OracleTokenizer
 
 from repro.features.batch import BatchFeatureService
 from repro.features.image import FrequencyImageEncoder
 from repro.features.tokenizer import OpcodeTokenizer
 
-#: Minimum acceptable speedup of the uncached fast path over the legacy
-#: path (conservative: loaded machines must not flake).
+#: Minimum acceptable speedup of the uncached fast path over the oracle
+#: arm (conservative: loaded machines must not flake).
 MIN_SPEEDUP = 2.0
 
 
 def test_bench_tokenizer_fastpath(benchmark, dataset):
     bytecodes = dataset.bytecodes
 
-    legacy = OpcodeTokenizer(use_fast_path=False)
+    legacy = OracleTokenizer()
     legacy_time, legacy_ids = best_time(lambda: legacy.transform(bytecodes))
 
     fast_time, fast_ids = best_time(
@@ -55,7 +56,7 @@ def test_bench_tokenizer_fastpath(benchmark, dataset):
 def test_bench_frequency_image_fastpath(benchmark, dataset):
     bytecodes = dataset.bytecodes
 
-    legacy = FrequencyImageEncoder(image_size=16, use_fast_path=False)
+    legacy = OracleFrequencyImage(image_size=16)
     legacy_time, legacy_images = best_time(lambda: legacy.fit_transform(bytecodes))
 
     def fast_cold():

@@ -54,7 +54,7 @@ def main() -> None:
     node = SimulatedEthereumNode()
     node.mine(stream, 36)
 
-    config = MonitorConfig.from_scale(scale)
+    config = MonitorConfig()
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = Checkpoint(Path(tmp) / "monitor-cursor.json")
 

@@ -58,12 +58,7 @@ def main() -> None:
     node = SimulatedEthereumNode()
     node.mine(stream, 44)
 
-    config = MonitorConfig(
-        confirmations=scale.monitor_confirmations,
-        poll_blocks=scale.monitor_poll_blocks,
-        drift_window=24,
-        drift_alpha=scale.monitor_drift_alpha,
-    )
+    config = MonitorConfig(drift_window=24)
     with ScoringService(detector, node=node) as service:
         monitor = MonitorPipeline(service, node, config=config)
         stats = monitor.run()

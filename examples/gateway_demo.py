@@ -111,19 +111,19 @@ def main() -> None:
     detector.fit(dataset.bytecodes, dataset.labels)
 
     node = SimulatedEthereumNode.from_records(corpus.records)
-    service = ScoringService(detector, node=node, config=ServingConfig.from_scale(scale))
+    service = ScoringService(detector, node=node, config=ServingConfig())
     explainer = ExplanationService(
         detector, background=dataset.bytecodes[:16], n_permutations=4, seed=7
     )
     analyzer = StaticAnalyzer(
-        config=AnalysisConfig.from_scale(scale),
+        config=AnalysisConfig(),
         code_resolver=node.get_code,
     )
     gateway = Gateway(
         service,
         # slow_request_ms=0 records every scoring request into /debug/slow
         # so the demo has entries to show; production keeps the default.
-        config=GatewayConfig.from_scale(scale, slow_request_ms=0.0),
+        config=GatewayConfig(slow_request_ms=0.0),
         explainer=explainer,
         analyzer=analyzer,
     )

@@ -80,7 +80,6 @@ def main() -> None:
     detector.fit(dataset.bytecodes, dataset.labels)
 
     config = MultiChainConfig(
-        n_chains=3,
         monitor=MonitorConfig(confirmations=2, poll_blocks=5, drift_window=16),
     )
 

@@ -61,7 +61,7 @@ def main() -> None:
 
     # …and ships it behind a scoring service next to a JSON-RPC client.
     node = SimulatedEthereumNode.from_records(corpus.records)
-    service = ScoringService(detector, node=node, config=ServingConfig.from_scale(scale))
+    service = ScoringService(detector, node=node, config=ServingConfig())
 
     rng = np.random.default_rng(5)
     picks = rng.choice(len(corpus.records), size=12, replace=False)

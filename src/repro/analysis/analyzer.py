@@ -44,16 +44,6 @@ class AnalysisConfig:
     dead_ratio: float = 0.4
     max_findings: int = 64
 
-    @classmethod
-    def from_scale(cls, scale) -> "AnalysisConfig":
-        """Read the ``analysis_*`` knobs of a :class:`~repro.core.Scale`."""
-        return cls(
-            report_cache=scale.analysis_report_cache,
-            proxy_depth=scale.analysis_proxy_depth,
-            dead_ratio=scale.analysis_dead_ratio,
-            max_findings=scale.analysis_max_findings,
-        )
-
 
 @dataclass(frozen=True)
 class AnalysisStats:

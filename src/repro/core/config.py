@@ -49,50 +49,6 @@ class Scale:
     streams through the OS page cache.  It composes with ``feature_cache_dir`` (which also enables
     spill-on-evict under ``<feature_cache_dir>/spill``) but works without
     it.
-
-    The ``serving_*`` knobs parameterise the request-facing
-    :class:`~repro.serving.ScoringService`
-    (:meth:`~repro.serving.ServingConfig.from_scale` reads them):
-    ``serving_max_batch`` / ``serving_max_wait_ms`` bound the micro-batcher
-    (flush when full or when the oldest request aged out),
-    ``serving_verdict_cache`` sizes the content-hash verdict cache, and
-    ``serving_threshold`` is the served decision cutoff (``None``, the
-    default, adopts the wrapped detector's own ``decision_threshold``).
-
-    The ``gateway_*`` knobs parameterise the HTTP front end
-    (:class:`~repro.serving.Gateway`;
-    :meth:`~repro.serving.GatewayConfig.from_scale` reads them):
-    ``gateway_max_inflight`` bounds concurrently admitted scoring requests
-    (excess load is shed as fast 429s), ``gateway_rate_limit`` /
-    ``gateway_rate_burst`` set the per-client token bucket (a zero rate
-    disables limiting), and ``gateway_timeout_s`` is the per-request budget
-    after which the gateway answers 504.
-
-    The ``monitor_*`` knobs parameterise the deploy-time block monitor
-    (:class:`~repro.monitor.MonitorPipeline`;
-    :meth:`~repro.monitor.MonitorConfig.from_scale` reads them):
-    ``monitor_confirmations`` is the block follower's confirmation depth,
-    ``monitor_poll_blocks`` the block-window size scored in one vectorized
-    pass (also the checkpoint granularity), ``monitor_drift_window`` /
-    ``monitor_drift_alpha`` the score-count and significance level of the
-    drift telemetry windows, ``monitor_start_block`` the first block a
-    fresh (un-checkpointed) monitor processes, ``monitor_latency_window``
-    the size of the rolling per-block latency reservoir behind the
-    p50/p95 telemetry, and ``monitor_known_contracts`` the rolling
-    registry size of the address-impersonation detector.  The multi-chain
-    supervisor (:class:`~repro.monitor.MultiChainMonitor`;
-    :meth:`~repro.monitor.MultiChainConfig.from_scale` reads them) adds
-    ``monitor_chains``, the number of simulated chains it fans in.
-
-    The ``analysis_*`` knobs parameterise the static-analysis plane
-    (:class:`~repro.analysis.StaticAnalyzer`;
-    :meth:`~repro.analysis.AnalysisConfig.from_scale` reads them):
-    ``analysis_report_cache`` sizes the content-hash report LRU,
-    ``analysis_proxy_depth`` bounds transitive ``DELEGATECALL``
-    implementation resolution (0 disables ``eth_getCode`` lookups),
-    ``analysis_dead_ratio`` is the unreachable-instruction fraction above
-    which the ``dead-code`` lint fires, and ``analysis_max_findings``
-    truncates pathological reports.
     """
 
     name: str = "ci"
@@ -109,26 +65,6 @@ class Scale:
     feature_executor: str = "thread"
     feature_workers: Optional[int] = None
     corpus_blob_dir: Optional[str] = None
-    serving_max_batch: int = 32
-    serving_max_wait_ms: float = 2.0
-    serving_verdict_cache: int = 4096
-    serving_threshold: Optional[float] = None
-    gateway_max_inflight: int = 64
-    gateway_rate_limit: float = 0.0
-    gateway_rate_burst: int = 16
-    gateway_timeout_s: float = 10.0
-    monitor_confirmations: int = 2
-    monitor_poll_blocks: int = 8
-    monitor_drift_window: int = 64
-    monitor_drift_alpha: float = 0.05
-    monitor_start_block: int = 0
-    monitor_latency_window: int = 4096
-    monitor_known_contracts: int = 512
-    monitor_chains: int = 3
-    analysis_report_cache: int = 4096
-    analysis_proxy_depth: int = 1
-    analysis_dead_ratio: float = 0.4
-    analysis_max_findings: int = 64
 
     @classmethod
     def smoke(cls) -> "Scale":

@@ -40,7 +40,7 @@ families).  :class:`BatchFeatureService` exploits all of it:
   before declaring a miss (``CacheStats.spills`` / ``spill_hits``) —
   eviction stops meaning recompute;
 * **array-based vocabulary projection** — a precomputed 256 → column index
-  map replaces the per-mnemonic dict loop of the legacy extractor;
+  map replaces a per-mnemonic dict loop;
 * **on-disk persistence** — :meth:`BatchFeatureService.save` /
   :meth:`BatchFeatureService.load` round-trip the persistable views
   (counts, sequences, n-grams, analysis) and the statistics through one
@@ -223,8 +223,7 @@ class VocabularyProjection:
 
     ``columns[i]`` is the output column and ``bins[i]`` the opcode byte value
     of every vocabulary mnemonic that exists in the Shanghai registry;
-    mnemonics outside the registry can never be counted and are dropped
-    (the legacy dict-based loop behaved identically).
+    mnemonics outside the registry can never be counted and are dropped.
     """
 
     size: int
@@ -273,9 +272,9 @@ def _gram_codes(code: bytes, bytes_per_gram: int) -> np.ndarray:
     """Integer codes of the non-overlapping ``bytes_per_gram`` groups of ``code``.
 
     Each complete group of *k* bytes becomes its big-endian integer value, so
-    the code is in bijection with the ``2k``-character lowercase hex gram the
-    legacy string path produces; a trailing partial group is dropped, exactly
-    like the string slicing.
+    the code is in bijection with the ``2k``-character lowercase hex gram of
+    the bytecode's hex string; a trailing partial group is dropped, exactly
+    like slicing that string.
     """
     if not 1 <= bytes_per_gram <= MAX_NGRAM_BYTES:
         raise ValueError(f"bytes_per_gram must be in [1, {MAX_NGRAM_BYTES}]")
@@ -1003,8 +1002,8 @@ class BatchFeatureService:
 
         The *k*-byte group starting at offset ``i*k`` becomes its big-endian
         integer value — in bijection with the ``2k``-character lowercase hex
-        gram of :class:`~repro.features.ngram.HexNgramEncoder`'s legacy
-        string path.  No disassembly is involved; the view is cached per
+        gram :class:`~repro.features.ngram.HexNgramEncoder` names it by.  No
+        disassembly is involved; the view is cached per
         ``(bytecode, bytes_per_gram)``.
         """
         return self._ngram_codes([bytecode], bytes_per_gram)[0]

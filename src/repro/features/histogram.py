@@ -5,23 +5,20 @@ the paper, the feature vector's length equals the number of unique opcodes
 observed in the *training set*, and the raw counts are fed to the classifiers
 without normalisation or standardisation.
 
-Extraction runs on the vectorized fast path by default: bytecodes are counted
-by the single-pass bytes-level kernel (:mod:`repro.evm.fastcount`) through a
-shared :class:`~repro.features.batch.BatchFeatureService` (content-hash LRU
-cache + chunked batch transform), and counts are projected onto the learned
-vocabulary with a precomputed index map.  The per-instruction legacy path is
-kept behind ``use_fast_path=False``; both produce bit-identical matrices.
+Bytecodes are counted by the single-pass bytes-level kernel
+(:mod:`repro.evm.fastcount`) through a shared
+:class:`~repro.features.batch.BatchFeatureService` (content-hash LRU cache +
+chunked batch transform), and counts are projected onto the learned
+vocabulary with a precomputed index map.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..evm.disassembler import Disassembler
 from ..evm.fastcount import MNEMONIC_BINS, observed_mnemonics
 from .batch import BatchFeatureService, VocabularyProjection, resolve_service
 
@@ -52,7 +49,6 @@ class OpcodeHistogramExtractor:
         self,
         normalize: bool = False,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
     ):
         """Create an extractor.
 
@@ -61,21 +57,15 @@ class OpcodeHistogramExtractor:
                 paper's HSC pipeline uses raw counts (the default).
             service: Batch extraction service to count through; defaults to
                 the process-wide shared service so detectors share one cache.
-            use_fast_path: When false, fall back to the per-instruction
-                ``Disassembler`` + ``Counter`` path (kept for equivalence
-                testing and benchmarking).
         """
         self.normalize = normalize
-        self.use_fast_path = use_fast_path
         self.vocabulary_: Optional[HistogramVocabulary] = None
-        self._index: Dict[str, int] = {}
         self._projection: Optional[VocabularyProjection] = None
         self._service = service
-        self._disassembler = Disassembler()
 
     @property
     def service(self) -> BatchFeatureService:
-        """The batch service used by the fast path.
+        """The batch service the extractor counts through.
 
         Resolved per access when no explicit service was given, so
         ``use_service``/``set_default_service`` swaps reach extractors that
@@ -88,49 +78,23 @@ class OpcodeHistogramExtractor:
         """Inject a service (``None`` reverts to the process-wide default)."""
         self._service = service
 
-    def _count(self, bytecode) -> Counter:
-        return Counter(self._disassembler.mnemonics(bytecode))
-
     def _set_vocabulary(self, mnemonics: List[str]) -> None:
         self.vocabulary_ = HistogramVocabulary(mnemonics=mnemonics)
-        self._index = {mnemonic: i for i, mnemonic in enumerate(mnemonics)}
         self._projection = VocabularyProjection.for_mnemonics(mnemonics)
 
     def fit(self, bytecodes: Sequence) -> "OpcodeHistogramExtractor":
         """Learn the opcode vocabulary from training bytecodes."""
-        if self.use_fast_path:
-            counts = self.service.count_matrix(bytecodes)
-            self._set_vocabulary(observed_mnemonics(counts))
-            return self
-        seen: Dict[str, None] = {}
-        for bytecode in bytecodes:
-            for mnemonic in self._count(bytecode):
-                seen.setdefault(mnemonic, None)
-        self._set_vocabulary(sorted(seen))
+        counts = self.service.count_matrix(bytecodes)
+        self._set_vocabulary(observed_mnemonics(counts))
         return self
 
     def transform(self, bytecodes: Sequence) -> np.ndarray:
         """Histogram matrix of shape ``(n_contracts, vocabulary_size)``."""
         if self.vocabulary_ is None:
             raise RuntimeError("extractor must be fitted before transform")
-        if self.use_fast_path:
-            if self._projection is None:
-                raise RuntimeError("vocabulary projection missing after fit")
-            return self.service.transform(
-                bytecodes, self._projection, normalize=self.normalize
-            )
-        features = np.zeros((len(bytecodes), self.vocabulary_.size))
-        for row, bytecode in enumerate(bytecodes):
-            counts = self._count(bytecode)
-            for mnemonic, count in counts.items():
-                column = self._index.get(mnemonic)
-                if column is not None:
-                    features[row, column] = count
-            if self.normalize:
-                total = features[row].sum()
-                if total > 0:
-                    features[row] /= total
-        return features
+        if self._projection is None:
+            raise RuntimeError("vocabulary projection missing after fit")
+        return self.service.transform(bytecodes, self._projection, normalize=self.normalize)
 
     def fit_transform(self, bytecodes: Sequence) -> np.ndarray:
         """Fit the vocabulary and transform in one step."""

@@ -17,14 +17,11 @@ The paper uses 224×224 images for the pretrained ViT-B/16; the reproduction
 keeps the construction identical but defaults to a smaller spatial size so
 that from-scratch CPU training is feasible (`image_size` is configurable).
 
-:class:`FrequencyImageEncoder` runs on a vectorized fast path by default:
-bytecodes are disassembled once by the shared
-:class:`~repro.features.batch.BatchFeatureService` (content-hash-cached
+:class:`FrequencyImageEncoder` disassembles each bytecode once through the
+shared :class:`~repro.features.batch.BatchFeatureService` (content-hash-cached
 :class:`~repro.evm.fastcount.OpcodeSequence` views), mnemonic and gas
 frequencies are resolved through 256-entry lookup tables indexed by opcode
 byte value, and only PUSH immediates take a per-instruction dict lookup.
-The per-instruction legacy path is kept behind ``use_fast_path=False``;
-both produce bit-identical pixel streams.
 """
 
 from __future__ import annotations
@@ -33,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..evm.disassembler import Disassembler, normalize_bytecode
+from ..evm.disassembler import normalize_bytecode
 from ..evm.fastcount import BIN_MNEMONICS, OpcodeSequence
 from ..evm.opcodes import SHANGHAI_OPCODES
 from ..ml.preprocessing import FrequencyEncoder
 from .batch import BatchFeatureService, resolve_service
-from .rawbytes import r2d2_image_from_bytes
 
 #: Byte-value range of opcodes that carry an immediate (PUSH1..PUSH32; the
 #: disassembler reports no operand for anything else, including PUSH0).
@@ -61,26 +57,22 @@ class R2D2ImageEncoder:
     default: the service caches the rendered image per ``(bytecode,
     image_size)``, so the two R2D2-fed detectors (ViT+R2D2 and
     ECA+EfficientNet) and repeated fit/score calls over duplicate-heavy
-    corpora encode each unique bytecode once.  The direct per-call path is
-    kept behind ``use_fast_path=False``; both are bit-identical (they share
-    :func:`~repro.features.rawbytes.r2d2_image_from_bytes`).
+    corpora encode each unique bytecode once.
     """
 
     def __init__(
         self,
         image_size: int = 32,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
     ):
         if image_size < 2:
             raise ValueError("image_size must be at least 2")
         self.image_size = image_size
-        self.use_fast_path = use_fast_path
         self._service = service
 
     @property
     def service(self) -> BatchFeatureService:
-        """The batch service used by the fast path (default resolved lazily)."""
+        """The batch service images are read through (default resolved lazily)."""
         return resolve_service(self._service)
 
     @service.setter
@@ -90,15 +82,11 @@ class R2D2ImageEncoder:
 
     def encode_one(self, bytecode) -> np.ndarray:
         """Encode one bytecode as a ``(3, image_size, image_size)`` tensor."""
-        if self.use_fast_path:
-            return self.service.r2d2_image(bytecode, self.image_size)
-        return r2d2_image_from_bytes(normalize_bytecode(bytecode), self.image_size)
+        return self.service.r2d2_image(bytecode, self.image_size)
 
     def transform(self, bytecodes: Sequence) -> np.ndarray:
         """Encode a batch: ``(n, 3, image_size, image_size)``."""
-        if self.use_fast_path:
-            return self.service.r2d2_images(bytecodes, self.image_size)
-        return np.stack([self.encode_one(bytecode) for bytecode in bytecodes])
+        return self.service.r2d2_images(bytecodes, self.image_size)
 
     # The encoder is stateless; fit is provided for interface symmetry.
     def fit(self, bytecodes: Sequence) -> "R2D2ImageEncoder":
@@ -121,13 +109,10 @@ class FrequencyImageEncoder:
         self,
         image_size: int = 32,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
     ):
         if image_size < 2:
             raise ValueError("image_size must be at least 2")
         self.image_size = image_size
-        self.use_fast_path = use_fast_path
-        self._disassembler = Disassembler()
         self._mnemonic_encoder = FrequencyEncoder(normalize=True)
         self._operand_encoder = FrequencyEncoder(normalize=True)
         self._gas_encoder = FrequencyEncoder(normalize=True)
@@ -139,24 +124,13 @@ class FrequencyImageEncoder:
 
     @property
     def service(self) -> BatchFeatureService:
-        """The batch service used by the fast path (default resolved lazily)."""
+        """The batch service sequences are read through (default resolved lazily)."""
         return resolve_service(self._service)
 
     @service.setter
     def service(self, service: Optional[BatchFeatureService]) -> None:
         """Inject a service (``None`` reverts to the process-wide default)."""
         self._service = service
-
-    def _records(self, bytecode) -> list:
-        instructions = self._disassembler.disassemble(bytecode)
-        return [
-            (
-                instruction.mnemonic,
-                instruction.operand_hex or "NaN",
-                instruction.gas if instruction.gas is not None else "NaN",
-            )
-            for instruction in instructions
-        ]
 
     @staticmethod
     def _operand_tokens(
@@ -201,22 +175,8 @@ class FrequencyImageEncoder:
         self._gas_lut = None
         return self
 
-    def _fit_legacy(self, bytecodes: Sequence) -> "FrequencyImageEncoder":
-        mnemonics, operands, gas_values = [], [], []
-        for bytecode in bytecodes:
-            for mnemonic, operand, gas in self._records(bytecode):
-                mnemonics.append(mnemonic)
-                operands.append(operand)
-                gas_values.append(gas)
-        self._mnemonic_encoder.fit(mnemonics)
-        self._operand_encoder.fit(operands)
-        self._gas_encoder.fit(gas_values)
-        return self._finalize_fit()
-
     def fit(self, bytecodes: Sequence) -> "FrequencyImageEncoder":
         """Build the frequency lookup tables on the training set."""
-        if not self.use_fast_path:
-            return self._fit_legacy(bytecodes)
         codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]
         sequences = self.service.sequences(codes)
         opcode_totals = np.zeros(256, dtype=np.int64)
@@ -264,23 +224,6 @@ class FrequencyImageEncoder:
         self._mnemonic_lut = mnemonic_lut
         self._gas_lut = gas_lut
 
-    def _finish_image(self, image: np.ndarray) -> np.ndarray:
-        image = np.clip(image, 0.0, 1.0)
-        image = image.reshape(self.image_size, self.image_size, 3)
-        return np.transpose(image, (2, 0, 1))
-
-    def _encode_legacy(self, bytecode) -> np.ndarray:
-        records = self._records(bytecode)
-        capacity = self.image_size * self.image_size
-        image = np.zeros((capacity, 3), dtype=np.float64)
-        count = min(len(records), capacity)
-        if count:
-            mnemonics, operands, gas_values = zip(*records[:count])
-            image[:count, 0] = self._mnemonic_encoder.transform(mnemonics) * self._scale
-            image[:count, 1] = self._operand_encoder.transform(operands) * self._scale
-            image[:count, 2] = self._gas_encoder.transform(gas_values) * self._scale
-        return self._finish_image(image)
-
     def _encode_sequence(self, sequence: OpcodeSequence, code: bytes) -> np.ndarray:
         self._ensure_luts()
         if self._mnemonic_lut is None or self._gas_lut is None:
@@ -297,21 +240,18 @@ class FrequencyImageEncoder:
             image[:count, 1] = operand_table.get("NaN", unknown) * self._scale
             for index, token in self._operand_tokens(sequence, code, limit=count):
                 image[index, 1] = operand_table.get(token, unknown) * self._scale
-        return self._finish_image(image)
+        image = np.clip(image, 0.0, 1.0).reshape(self.image_size, self.image_size, 3)
+        return np.transpose(image, (2, 0, 1))
 
     def encode_one(self, bytecode) -> np.ndarray:
         """Encode one bytecode as a ``(3, image_size, image_size)`` tensor."""
         if not self._fitted:
             raise RuntimeError("FrequencyImageEncoder must be fitted before encoding")
-        if not self.use_fast_path:
-            return self._encode_legacy(bytecode)
         code = normalize_bytecode(bytecode)
         return self._encode_sequence(self.service.sequence(code), code)
 
     def transform(self, bytecodes: Sequence) -> np.ndarray:
         """Encode a batch: ``(n, 3, image_size, image_size)``."""
-        if not self.use_fast_path:
-            return np.stack([self.encode_one(bytecode) for bytecode in bytecodes])
         if not self._fitted:
             raise RuntimeError("FrequencyImageEncoder must be fitted before encoding")
         codes = [normalize_bytecode(bytecode) for bytecode in bytecodes]

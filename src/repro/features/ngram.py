@@ -5,25 +5,21 @@ SCSGuard reads the hexadecimal bytecode string as a stream of "bigrams"
 integer vocabulary over them on the training set, and pads sequences to a
 uniform length for the embedding + attention + GRU model.
 
-Encoding runs on a vectorized fast path by default: the normalize path goes
-through the shared :class:`~repro.features.batch.BatchFeatureService`, which
-caches each bytecode's grams as *integer codes* (the big-endian value of the
-gram's bytes, in bijection with its lowercase hex string), and fit/encode
-reduce to ``np.unique`` + ``np.searchsorted`` instead of per-gram string
-slicing and dict lookups.  The legacy string path is kept behind
-``use_fast_path=False``; both build identical vocabularies (same frequency /
-lexicographic tie-break) and identical id sequences.  Gram sizes above
-:data:`~repro.features.batch.MAX_NGRAM_BYTES` bytes fall back to the string
-path automatically (their integer codes would overflow ``int64``).
+Grams are read through the shared
+:class:`~repro.features.batch.BatchFeatureService`, which caches each
+bytecode's grams as *integer codes* (the big-endian value of the gram's
+bytes, in bijection with its lowercase hex string), so fit/encode reduce to
+``np.unique`` + ``np.searchsorted`` instead of per-gram string slicing and
+dict lookups.  Gram sizes above :data:`~repro.features.batch.MAX_NGRAM_BYTES`
+bytes are rejected: their integer codes would overflow ``int64``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..evm.disassembler import normalize_bytecode
 from .batch import MAX_NGRAM_BYTES, BatchFeatureService, resolve_service
 
 #: Vocabulary id reserved for padding.
@@ -41,27 +37,26 @@ class HexNgramEncoder:
         max_length: int = 256,
         max_vocabulary: int = 4096,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
     ):
         """Create an encoder.
 
         Args:
-            chars_per_gram: Number of hex characters per gram (paper: 6).
+            chars_per_gram: Number of hex characters per gram (paper: 6); an
+                even number from 2 to ``2 * MAX_NGRAM_BYTES``.
             max_length: Output sequence length (longer inputs are truncated,
                 shorter ones padded with :data:`PAD_ID`).
             max_vocabulary: Cap on vocabulary size; the most frequent grams
                 are kept and the rest map to :data:`UNKNOWN_ID`.
             service: Batch extraction service whose n-gram view caches gram
                 codes per bytecode; defaults to the process-wide service.
-            use_fast_path: When false, keep the per-gram string path (kept
-                for equivalence testing and benchmarking).
         """
         if chars_per_gram < 2 or chars_per_gram % 2 != 0:
             raise ValueError("chars_per_gram must be an even number >= 2")
+        if chars_per_gram > 2 * MAX_NGRAM_BYTES:
+            raise ValueError(f"chars_per_gram must be <= {2 * MAX_NGRAM_BYTES}")
         self.chars_per_gram = chars_per_gram
         self.max_length = max_length
         self.max_vocabulary = max_vocabulary
-        self.use_fast_path = use_fast_path
         self.vocabulary_: Dict[str, int] = {}
         self._service = service
         self._sorted_codes: Optional[np.ndarray] = None
@@ -69,7 +64,7 @@ class HexNgramEncoder:
 
     @property
     def service(self) -> BatchFeatureService:
-        """The batch service used by the fast path (default resolved lazily)."""
+        """The batch service grams are read through (default resolved lazily)."""
         return resolve_service(self._service)
 
     @service.setter
@@ -80,15 +75,6 @@ class HexNgramEncoder:
     @property
     def _bytes_per_gram(self) -> int:
         return self.chars_per_gram // 2
-
-    @property
-    def _vectorizable(self) -> bool:
-        return self.use_fast_path and self._bytes_per_gram <= MAX_NGRAM_BYTES
-
-    def _grams(self, bytecode) -> List[str]:
-        text = normalize_bytecode(bytecode).hex()
-        step = self.chars_per_gram
-        return [text[i : i + step] for i in range(0, len(text) - step + 1, step)]
 
     def _gram_string(self, code: int) -> str:
         return format(code, f"0{self.chars_per_gram}x")
@@ -105,11 +91,6 @@ class HexNgramEncoder:
     def _set_vocabulary(self, ranked_grams: Sequence[str]) -> None:
         """Install the fitted vocabulary and its vectorized lookup arrays."""
         self.vocabulary_ = {gram: index + 2 for index, gram in enumerate(ranked_grams)}
-        if self._bytes_per_gram > MAX_NGRAM_BYTES:
-            # Codes would overflow int64; encoding stays on the string path.
-            self._sorted_codes = None
-            self._sorted_ids = None
-            return
         codes = np.array(
             [int(gram, 16) for gram in ranked_grams], dtype=np.int64
         )
@@ -122,27 +103,18 @@ class HexNgramEncoder:
         """Build the gram vocabulary from training bytecodes.
 
         The kept grams are the ``max_vocabulary`` most frequent ones, ties
-        broken by gram (identically on both paths: for fixed-width lowercase
-        hex, lexicographic string order equals numeric code order).
+        broken by gram (for fixed-width lowercase hex, lexicographic string
+        order equals numeric code order).
         """
-        if self._vectorizable:
-            code_arrays = self.service.ngram_codes_batch(bytecodes, self._bytes_per_gram)
-            populated = [codes for codes in code_arrays if codes.size]
-            if populated:
-                values, counts = np.unique(np.concatenate(populated), return_counts=True)
-                order = np.lexsort((values, -counts))[: self.max_vocabulary]
-                ranked = [self._gram_string(int(values[i])) for i in order]
-            else:
-                ranked = []
-            self._set_vocabulary(ranked)
-            return self
-        counts: Dict[str, int] = {}
-        for bytecode in bytecodes:
-            for gram in self._grams(bytecode):
-                counts[gram] = counts.get(gram, 0) + 1
-        most_frequent = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        kept = most_frequent[: self.max_vocabulary]
-        self._set_vocabulary([gram for gram, _ in kept])
+        code_arrays = self.service.ngram_codes_batch(bytecodes, self._bytes_per_gram)
+        populated = [codes for codes in code_arrays if codes.size]
+        if populated:
+            values, counts = np.unique(np.concatenate(populated), return_counts=True)
+            order = np.lexsort((values, -counts))[: self.max_vocabulary]
+            ranked = [self._gram_string(int(values[i])) for i in order]
+        else:
+            ranked = []
+        self._set_vocabulary(ranked)
         return self
 
     # ------------------------------------------------------------------
@@ -170,16 +142,7 @@ class HexNgramEncoder:
         """Encode one bytecode as a fixed-length id sequence."""
         if not self.vocabulary_:
             raise RuntimeError("HexNgramEncoder must be fitted before encoding")
-        if self._vectorizable:
-            return self._encode_codes(
-                self.service.ngram_codes(bytecode, self._bytes_per_gram)
-            )
-        ids = [
-            self.vocabulary_.get(gram, UNKNOWN_ID) for gram in self._grams(bytecode)
-        ][: self.max_length]
-        if len(ids) < self.max_length:
-            ids.extend([PAD_ID] * (self.max_length - len(ids)))
-        return np.asarray(ids, dtype=np.int64)
+        return self._encode_codes(self.service.ngram_codes(bytecode, self._bytes_per_gram))
 
     def transform(self, bytecodes: Sequence) -> np.ndarray:
         """Encode a batch: ``(n, max_length)`` int64 matrix."""

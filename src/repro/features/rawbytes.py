@@ -6,9 +6,7 @@ frequency vector, and the R2D2-style vision models (ViT+R2D2 and
 ECA+EfficientNet) read consecutive byte triplets as RGB pixels.  These pure
 functions are the single source of truth for both computations; the
 :class:`~repro.features.batch.BatchFeatureService` caches their outputs as
-the byte-count and R2D2-image views of its multi-view cache, and the legacy
-per-detector paths call them directly so both paths are bit-identical by
-construction.
+the byte-count and R2D2-image views of its multi-view cache.
 
 This module deliberately imports nothing from the rest of the package so the
 batch service (which the extractors import) can depend on it without cycles.
@@ -33,8 +31,7 @@ def r2d2_image_from_bytes(code: bytes, image_size: int) -> np.ndarray:
 
     Consecutive byte triplets become one RGB pixel (intensities in
     ``[0, 1]``), pixels fill the square row-major, and the tail is
-    zero-padded — exactly the construction of the legacy
-    ``R2D2ImageEncoder.encode_one`` path.
+    zero-padded.
     """
     capacity = image_size * image_size * 3
     buffer = np.zeros(capacity, dtype=np.float64)

@@ -7,14 +7,11 @@ closed set of EVM mnemonics plus coarse operand-bucket tokens, which plays
 the same role (turning a disassembled contract into a bounded-vocabulary
 token-id sequence) for the from-scratch GPT-2-style and T5-style models.
 
-Tokenization runs on the vectorized fast path by default: bytecodes are
-disassembled once by the shared
+Bytecodes are disassembled once by the shared
 :class:`~repro.features.batch.BatchFeatureService` (content-hash LRU cache
 over :class:`~repro.evm.fastcount.OpcodeSequence` views) and token ids are
 produced by array lookups — one LUT maps opcode byte values to mnemonic ids,
-another maps immediate widths to operand-bucket ids.  The per-instruction
-legacy path is kept behind ``use_fast_path=False``; both produce
-bit-identical token streams.
+another maps immediate widths to operand-bucket ids.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..evm.disassembler import Disassembler
 from ..evm.fastcount import BIN_MNEMONICS, OpcodeSequence
 from ..evm.opcodes import CANONICAL_MNEMONICS
 from .batch import BatchFeatureService, resolve_service
@@ -54,12 +50,6 @@ def _bucket_for_width(width: int) -> str:
     return _OPERAND_BUCKETS[-1]
 
 
-def _operand_bucket(operand: Optional[bytes]) -> str:
-    if operand is None:
-        return _OPERAND_BUCKETS[0]
-    return _bucket_for_width(len(operand))
-
-
 class OpcodeTokenizer:
     """Turns bytecode into token-id sequences over a closed EVM vocabulary."""
 
@@ -69,7 +59,6 @@ class OpcodeTokenizer:
         include_operands: bool = True,
         add_cls: bool = True,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
     ):
         """Create a tokenizer.
 
@@ -83,16 +72,12 @@ class OpcodeTokenizer:
             service: Batch extraction service to disassemble through;
                 defaults to the process-wide shared service so detectors
                 share one cache.
-            use_fast_path: When false, fall back to the per-instruction
-                ``Disassembler`` path (kept for equivalence testing).
         """
         self.max_length = max_length
         self.include_operands = include_operands
         self.add_cls = add_cls
-        self.use_fast_path = use_fast_path
         vocabulary: List[str] = list(SPECIAL_TOKENS) + list(_OPERAND_BUCKETS) + CANONICAL_MNEMONICS
         self.vocabulary: Dict[str, int] = {token: index for index, token in enumerate(vocabulary)}
-        self._disassembler = Disassembler()
         self._service = service
         # Vectorized encoding tables: opcode byte value -> mnemonic token id,
         # immediate width (0..32) -> operand-bucket token id.
@@ -107,7 +92,7 @@ class OpcodeTokenizer:
 
     @property
     def service(self) -> BatchFeatureService:
-        """The batch service used by the fast path (default resolved lazily)."""
+        """The batch service tokens are read through (default resolved lazily)."""
         return resolve_service(self._service)
 
     @service.setter
@@ -134,19 +119,8 @@ class OpcodeTokenizer:
     # String tokenization
     # ------------------------------------------------------------------
 
-    def _tokenize_legacy(self, bytecode) -> List[str]:
-        tokens: List[str] = [CLS_TOKEN] if self.add_cls else []
-        for instruction in self._disassembler.disassemble(bytecode):
-            tokens.append(instruction.mnemonic)
-            if self.include_operands and instruction.opcode.is_push:
-                tokens.append(_operand_bucket(instruction.operand))
-        tokens.append(EOS_TOKEN)
-        return tokens
-
     def tokenize(self, bytecode) -> List[str]:
         """The full (untruncated) token string sequence of ``bytecode``."""
-        if not self.use_fast_path:
-            return self._tokenize_legacy(bytecode)
         sequence = self.service.sequence(bytecode)
         tokens: List[str] = [CLS_TOKEN] if self.add_cls else []
         for value, width in zip(sequence.opcodes.tolist(), sequence.widths.tolist()):
@@ -187,30 +161,13 @@ class OpcodeTokenizer:
         out[:cut] = ids[:cut]
         return out
 
-    def encode_tokens(self, tokens: Sequence[str], length: Optional[int] = None) -> np.ndarray:
-        """Map string tokens to a fixed-length id array."""
-        length = length or self.max_length
-        unknown = self.vocabulary[UNKNOWN_TOKEN]
-        ids = [self.vocabulary.get(token, unknown) for token in tokens][:length]
-        if len(ids) < length:
-            ids.extend([self.pad_id] * (length - len(ids)))
-        return np.asarray(ids, dtype=np.int64)
-
     def encode_one(self, bytecode) -> np.ndarray:
         """Tokenize and encode one bytecode (truncation variant, α models)."""
-        if not self.use_fast_path:
-            return self.encode_tokens(self._tokenize_legacy(bytecode))
         ids = self._ids_from_sequence(self.service.sequence(bytecode))
         return self._fit_length(ids, self.max_length)
 
     def full_sequences(self, bytecodes: Sequence) -> List[np.ndarray]:
         """Unpadded token ids of every contract (for the β chunking)."""
-        if not self.use_fast_path:
-            sequences = []
-            for bytecode in bytecodes:
-                tokens = self._tokenize_legacy(bytecode)
-                sequences.append(self.encode_tokens(tokens, length=len(tokens)))
-            return sequences
         return [
             self._ids_from_sequence(sequence)
             for sequence in self.service.sequences(bytecodes)
@@ -218,8 +175,6 @@ class OpcodeTokenizer:
 
     def transform(self, bytecodes: Sequence) -> np.ndarray:
         """Encode a batch: ``(n, max_length)`` int64 matrix."""
-        if not self.use_fast_path:
-            return np.stack([self.encode_one(bytecode) for bytecode in bytecodes])
         return np.stack(
             [
                 self._fit_length(self._ids_from_sequence(sequence), self.max_length)

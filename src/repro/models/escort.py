@@ -22,7 +22,7 @@ result by construction rather than by accident.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class ESCORTDetector(PhishingDetector):
         batch_size: int = 32,
         learning_rate: float = 2e-3,
         service: Optional[BatchFeatureService] = None,
-        use_fast_path: bool = True,
         seed: int = 0,
     ):
         self.d_hidden = d_hidden
@@ -141,46 +140,27 @@ class ESCORTDetector(PhishingDetector):
         self.learning_rate = learning_rate
         self.seed = seed
         self._feature_service = service
-        self.use_fast_path = use_fast_path
         self.network: Optional[ESCORTNetwork] = None
-        self._disassembler = Disassembler()
 
     # ------------------------------------------------------------------
 
     def _embed(self, bytecodes: Sequence) -> np.ndarray:
         """Byte-value frequency embedding of each bytecode (256-dim).
 
-        The fast path resolves the byte-count view through the shared
-        feature service (duplicates are counted once per process); the
-        legacy per-contract path is kept behind ``use_fast_path=False`` and
-        both are bit-identical (same integer counts, same denominator).
+        The byte-count view is resolved through the shared feature service,
+        so duplicates are counted once per process.
         """
-        if self.use_fast_path:
-            counts = self.feature_service.byte_count_matrix(bytecodes)
-            totals = counts.sum(axis=1)
-            features = np.zeros((len(bytecodes), 256))
-            populated = totals > 0
-            features[populated] = counts[populated] / totals[populated, np.newaxis]
-            return features
+        counts = self.feature_service.byte_count_matrix(bytecodes)
+        totals = counts.sum(axis=1)
         features = np.zeros((len(bytecodes), 256))
-        for row, bytecode in enumerate(bytecodes):
-            raw = bytecode if isinstance(bytecode, (bytes, bytearray)) else bytes.fromhex(
-                bytecode[2:] if str(bytecode).startswith("0x") else str(bytecode)
-            )
-            if len(raw) == 0:
-                continue
-            counts = np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=256)
-            features[row] = counts / len(raw)
+        populated = totals > 0
+        features[populated] = counts[populated] / totals[populated, np.newaxis]
         return features
 
     def _vulnerability_targets(self, bytecodes: Sequence) -> np.ndarray:
-        """Pretraining classes; the fast path reads cached count vectors."""
-        if self.use_fast_path:
-            matrix = self.feature_service.count_matrix(bytecodes)
-            return np.array([vulnerability_label_from_counts(row) for row in matrix])
-        return np.array(
-            [structural_vulnerability_label(code, self._disassembler) for code in bytecodes]
-        )
+        """Pretraining classes, read off the cached count vectors."""
+        matrix = self.feature_service.count_matrix(bytecodes)
+        return np.array([vulnerability_label_from_counts(row) for row in matrix])
 
     def _train_phase(
         self,

@@ -60,9 +60,8 @@ checkpoints under one directory), all scoring through one **shared**
 :class:`~repro.serving.ScoringService` into one merged,
 deterministically-ordered alert stream.
 
-Knobs come from :class:`~repro.core.config.Scale`'s ``monitor_*`` fields
-via :meth:`~repro.monitor.pipeline.MonitorConfig.from_scale` and
-:meth:`~repro.monitor.multichain.MultiChainConfig.from_scale`.  The chain
+Knobs live in :class:`~repro.monitor.pipeline.MonitorConfig` and
+:class:`~repro.monitor.multichain.MultiChainConfig`.  The chain
 side (deterministic seeded block streams with configurable deploy-rate,
 phishing-share and impersonation schedules) lives in
 :mod:`repro.chain.blocks`; see ``examples/chain_monitor.py`` for the

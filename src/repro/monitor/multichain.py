@@ -55,31 +55,18 @@ __all__ = [
 class MultiChainConfig:
     """Knobs of one :class:`MultiChainMonitor` deployment.
 
+    The supervisor monitors whatever nodes it is given; the config does not
+    fix their number.
+
     Args:
-        n_chains: How many chains the deployment watches (builders like
-            :func:`chain_stream_configs` and the example use it; the
-            supervisor itself monitors whatever nodes it is given).
         monitor: Per-chain pipeline knobs (confirmation depth, poll window,
             drift telemetry, impersonation registry).
         impersonation: Whether each chain runs the bytecode-free
             address-impersonation detector.
     """
 
-    n_chains: int = 2
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     impersonation: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
-
-    @classmethod
-    def from_scale(cls, scale) -> "MultiChainConfig":
-        """Build the config from a :class:`~repro.core.config.Scale`."""
-        return cls(
-            n_chains=scale.monitor_chains,
-            monitor=MonitorConfig.from_scale(scale),
-        )
 
 
 def chain_stream_configs(
@@ -151,8 +138,8 @@ class MultiChainMonitor:
         nodes: One block source per chain; each must expose a distinct
             ``chain_id`` (build them with
             :meth:`~repro.chain.rpc.SimulatedEthereumNode.from_stream`).
-        config: Supervisor knobs; build one from a scale with
-            :meth:`MultiChainConfig.from_scale`.
+        config: Supervisor knobs (defaults to :class:`MultiChainConfig`'s
+            defaults).
         sink: The merged alert destination every chain emits into
             (defaults to one shared :class:`ListSink`).  Verdict and
             impersonation alerts both land here, each stamped with its

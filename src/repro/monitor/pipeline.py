@@ -111,19 +111,6 @@ class MonitorConfig:
         if self.impersonation_prefix < 1 or self.impersonation_suffix < 1:
             raise ValueError("impersonation prefix/suffix must be >= 1")
 
-    @classmethod
-    def from_scale(cls, scale) -> "MonitorConfig":
-        """Build the config from a :class:`~repro.core.config.Scale`."""
-        return cls(
-            confirmations=scale.monitor_confirmations,
-            poll_blocks=scale.monitor_poll_blocks,
-            start_block=scale.monitor_start_block,
-            drift_window=scale.monitor_drift_window,
-            drift_alpha=scale.monitor_drift_alpha,
-            latency_window=scale.monitor_latency_window,
-            known_contracts=scale.monitor_known_contracts,
-        )
-
 
 @dataclass(frozen=True)
 class Alert:
@@ -247,8 +234,8 @@ class MonitorPipeline:
             from (its decision threshold is the alert threshold).
         node: Block source (``block_number()`` / ``get_block(number)``),
             e.g. :class:`~repro.chain.rpc.SimulatedEthereumNode`.
-        config: Monitor knobs; build one from a scale with
-            :meth:`MonitorConfig.from_scale`.
+        config: Monitor knobs (defaults to :class:`MonitorConfig`'s
+            defaults).
         sink: Alert destination (defaults to a fresh :class:`ListSink`,
             reachable as :attr:`sink`).
         checkpoint: Optional state persistence; when the file already

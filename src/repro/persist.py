@@ -15,8 +15,8 @@ fields are never consulted by ``zipfile``, so a flipped byte there would
 load silently.  The writer therefore stamps a whole-file blake2b digest
 into the archive comment, and the reader re-derives it over every byte of
 the file except the digest's own characters, so any single-byte damage
-anywhere in the file is rejected.  Files written before the digest existed
-carry no comment and skip the check.
+anywhere in the file is rejected.  A file without the digest (one with its
+comment stripped) is rejected too.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ def open_validated_npz(
             comment = archive.comment
     except Exception as exc:
         raise error(f"unreadable cache file {path}: {exc}") from exc
-    if comment and (
-        len(comment) != _DIGEST_BYTES or _integrity_digest(blob) != comment
-    ):
+    if len(comment) != _DIGEST_BYTES or _integrity_digest(blob) != comment:
         raise error(f"corrupt cache file {path}: integrity digest mismatch")
     try:
         data = np.load(io.BytesIO(blob), allow_pickle=False)

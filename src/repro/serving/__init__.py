@@ -56,8 +56,7 @@ signals the ROADMAP asks for), optional
 :class:`~repro.features.store.FeatureStore` file hit/miss counters, and
 p50/p95/p99 request-latency percentiles over a sliding window.
 
-Defaults come from :class:`~repro.core.config.Scale`'s ``serving_*`` knobs
-via :meth:`ServingConfig.from_scale`.
+Knobs live in :class:`ServingConfig`.
 
 HTTP gateway
 ------------
@@ -73,8 +72,7 @@ the scanner-backend shape — probability, 0–100 score, threshold verdict —
 and ``"explain": true`` adds the top contributing opcodes through
 :class:`ExplanationService` (:mod:`repro.serving.explain`), a per-model
 SHAP-explainer cache so explanations never pay a background refit per
-request.  Gateway knobs come from ``Scale``'s ``gateway_*`` fields via
-:meth:`GatewayConfig.from_scale`.
+request.  Gateway knobs live in :class:`GatewayConfig`.
 """
 
 from .explain import ExplainerCache, ExplainStats, ExplanationService

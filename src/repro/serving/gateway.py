@@ -198,18 +198,6 @@ class GatewayConfig:
         if self.slow_log_size < 1:
             raise ValueError("slow_log_size must be >= 1")
 
-    @classmethod
-    def from_scale(cls, scale, **overrides) -> "GatewayConfig":
-        """Build the config from a :class:`~repro.core.config.Scale`."""
-        knobs = dict(
-            max_inflight=scale.gateway_max_inflight,
-            rate_limit_per_s=scale.gateway_rate_limit,
-            rate_burst=scale.gateway_rate_burst,
-            request_timeout_s=scale.gateway_timeout_s,
-        )
-        knobs.update(overrides)
-        return cls(**knobs)
-
 
 @dataclass(frozen=True)
 class GatewayStats:
@@ -384,8 +372,8 @@ class Gateway:
         service: The scoring service verdicts come from (address ingest uses
             its ``node``; its ``decision_threshold`` stays runtime-mutable
             underneath the gateway).
-        config: Gateway knobs; build one from a scale with
-            :meth:`GatewayConfig.from_scale`.
+        config: Gateway knobs (defaults to :class:`GatewayConfig`'s
+            defaults).
         explainer: Optional :class:`~repro.serving.explain
             .ExplanationService`; without one, ``"explain": true`` requests
             are rejected with ``400 explain_unavailable``.

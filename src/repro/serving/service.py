@@ -74,16 +74,6 @@ class ServingConfig:
         if self.decision_threshold is not None and not 0.0 <= self.decision_threshold <= 1.0:
             raise ValueError("decision_threshold must be in [0, 1]")
 
-    @classmethod
-    def from_scale(cls, scale) -> "ServingConfig":
-        """Build the config from a :class:`~repro.core.config.Scale`."""
-        return cls(
-            max_batch=scale.serving_max_batch,
-            max_wait_ms=scale.serving_max_wait_ms,
-            verdict_cache_size=scale.serving_verdict_cache,
-            decision_threshold=scale.serving_threshold,
-        )
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -230,8 +220,7 @@ class ScoringService:
             e.g. :class:`~repro.chain.rpc.SimulatedEthereumNode`) enabling
             :meth:`score_address`.
         config: Serving knobs; defaults to :class:`ServingConfig`'s
-            defaults, or build one from a scale with
-            :meth:`ServingConfig.from_scale`.
+            defaults.
         feature_service: Optional dedicated feature service to inject into
             the detector (propagated into its extractors); by default the
             detector keeps extracting through the process-wide shared one.

@@ -27,7 +27,6 @@ from repro.analysis import (
 from repro.chain import templates
 from repro.chain.blocks import BlockStream, BlockStreamConfig
 from repro.chain.rpc import SimulatedEthereumNode
-from repro.core.config import Scale
 from repro.evm import analyze_cfg
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
@@ -212,14 +211,6 @@ def test_analyze_many_matches_analyze(bytecodes):
     for code, report in zip(subset, reports):
         expected = single.analyze(code)
         assert report.to_dict() == expected.to_dict()
-
-
-def test_analysis_config_from_scale():
-    config = AnalysisConfig.from_scale(Scale.smoke())
-    assert config.report_cache == Scale.smoke().analysis_report_cache
-    assert config.proxy_depth == Scale.smoke().analysis_proxy_depth
-    assert config.dead_ratio == Scale.smoke().analysis_dead_ratio
-    assert config.max_findings == Scale.smoke().analysis_max_findings
 
 
 def test_default_rules_registry_is_complete():

@@ -16,6 +16,9 @@ A small AST pass enforcing three rules across every production module:
   with the active trace id — stray prints pollute library users' stdout),
 * no ``asyncio.wait_for`` (on Python 3.11 it spawns a Task per call, which
   the gateway paid on every request — use ``async with asyncio.timeout``),
+* no dead knobs: every field of a ``*Config`` or ``Scale`` dataclass is read
+  as an attribute somewhere in ``src/`` outside ``__post_init__`` (a field
+  only validated, or only copied into another config, selects nothing),
 
 plus a ``compileall`` sweep pinning that every module byte-compiles.
 """
@@ -149,6 +152,50 @@ def test_no_asyncio_wait_for_in_production_code():
             ):
                 offenders.append(_location(path, node))
     assert offenders == [], f"asyncio.wait_for found in src/: {offenders}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree: ast.AST, reads: set) -> None:
+    """Collect loaded attribute names, skipping ``__post_init__`` bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        _attribute_reads(node, reads)
+
+
+def test_every_config_field_is_read():
+    fields = []
+    reads: set = set()
+    for path in _python_sources():
+        tree = _parse(path)
+        _attribute_reads(tree, reads)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.ClassDef)
+                and (node.name.endswith("Config") or node.name == "Scale")
+                and _is_dataclass(node)
+            ):
+                continue
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and isinstance(
+                    statement.target, ast.Name
+                ):
+                    fields.append((_location(path, statement), node.name, statement.target.id))
+    assert len(fields) > 50
+    offenders = [
+        f"{location} ({cls}.{name})" for location, cls, name in fields if name not in reads
+    ]
+    assert offenders == [], f"config fields never read in src/: {offenders}"
 
 
 def test_all_modules_byte_compile(tmp_path):

@@ -1,35 +1,74 @@
-"""Cross-detector equivalence: shared injected service vs. legacy extraction.
+"""Cross-detector equivalence: shared injected service vs. oracle extraction.
 
-The shared feature-resolution refactor must not move a single probability:
-for every one of the 16 Table II detectors, fitting and scoring through an
+The shared feature-resolution path must not move a single probability: for
+every one of the 16 Table II detectors, fitting and scoring through an
 explicitly injected :class:`~repro.features.batch.BatchFeatureService` has
-to produce bit-identical ``predict_proba`` output to the same detector run
-on its legacy internal extraction path (per-instruction disassembly, string
-n-grams, per-contract byte loops).  Training is deterministic given the
-seed, so any feature-level divergence would surface as a probability
-mismatch here.
+to produce bit-identical ``predict_proba`` output to the same detector fed
+by the per-instruction oracles of ``oracles.py`` (disassembled instruction
+lists, string n-grams, per-contract byte loops).  Training is deterministic
+given the seed, so any feature-level divergence would surface as a
+probability mismatch here.
 """
 
 import numpy as np
 import pytest
 
 from repro.features.batch import BatchFeatureService
+from repro.features.histogram import OpcodeHistogramExtractor
+from repro.features.image import FrequencyImageEncoder, R2D2ImageEncoder
+from repro.features.ngram import HexNgramEncoder
+from repro.features.tokenizer import OpcodeTokenizer
 from repro.models.base import PhishingDetector
+from repro.models.escort import ESCORTDetector
 from repro.models.registry import DeepModelScale, TABLE2_MODEL_NAMES, build_model
 
+from oracles import (
+    OracleFrequencyImage,
+    OracleHexNgrams,
+    OracleHistogram,
+    OracleR2D2,
+    OracleTokenizer,
+    escort_embedding,
+    escort_vulnerability_targets,
+)
 
-def force_legacy_path(detector: PhishingDetector) -> PhishingDetector:
-    """Flip the detector and every extractor it owns onto the legacy path."""
-    flipped = 0
-    if hasattr(detector, "use_fast_path"):
-        detector.use_fast_path = False
-        flipped += 1
+
+def _oracle_like(extractor):
+    """The oracle configured like a production extractor (``None`` if none fits)."""
+    if isinstance(extractor, OpcodeHistogramExtractor):
+        return OracleHistogram(normalize=extractor.normalize)
+    if isinstance(extractor, OpcodeTokenizer):
+        return OracleTokenizer(
+            max_length=extractor.max_length,
+            include_operands=extractor.include_operands,
+            add_cls=extractor.add_cls,
+        )
+    if isinstance(extractor, HexNgramEncoder):
+        return OracleHexNgrams(
+            chars_per_gram=extractor.chars_per_gram,
+            max_length=extractor.max_length,
+            max_vocabulary=extractor.max_vocabulary,
+        )
+    if isinstance(extractor, FrequencyImageEncoder):
+        return OracleFrequencyImage(image_size=extractor.image_size)
+    if isinstance(extractor, R2D2ImageEncoder):
+        return OracleR2D2(image_size=extractor.image_size)
+    return None
+
+
+def swap_in_oracles(detector: PhishingDetector) -> PhishingDetector:
+    """Replace every feature front end the detector owns with its oracle."""
+    swapped = 0
     for attribute in ("extractor", "tokenizer", "encoder"):
-        extractor = getattr(detector, attribute, None)
-        if extractor is not None and hasattr(extractor, "use_fast_path"):
-            extractor.use_fast_path = False
-            flipped += 1
-    assert flipped > 0, f"{detector.name} exposes no legacy path to compare against"
+        oracle = _oracle_like(getattr(detector, attribute, None))
+        if oracle is not None:
+            setattr(detector, attribute, oracle)
+            swapped += 1
+    if isinstance(detector, ESCORTDetector):
+        detector._embed = escort_embedding
+        detector._vulnerability_targets = escort_vulnerability_targets
+        swapped += 1
+    assert swapped > 0, f"{detector.name} exposes no extractor to compare against"
     return detector
 
 
@@ -50,7 +89,7 @@ def test_detector_bit_identical_with_shared_service(name, split):
     shared.fit(train_codes, train_labels)
     shared_probabilities = shared.predict_proba(test_codes)
 
-    legacy = force_legacy_path(build_model(name, scale=scale, seed=0))
+    legacy = swap_in_oracles(build_model(name, scale=scale, seed=0))
     legacy.fit(train_codes, train_labels)
     legacy_probabilities = legacy.predict_proba(test_codes)
 

@@ -3,8 +3,8 @@
 These pin exact opcode histograms for deterministic template bytecodes from
 :mod:`repro.chain.templates`, so any future change to the fast-count kernel,
 the batch service or the extractor that silently drifts feature values fails
-loudly here.  The legacy per-instruction path is asserted against the same
-goldens, keeping both paths anchored to one reference.
+loudly here.  The per-instruction oracle of ``oracles.py`` is asserted
+against the same goldens, keeping both anchored to one reference.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ from repro.chain.templates import (
 from repro.evm.fastcount import mnemonic_counts
 from repro.features.batch import BatchFeatureService
 from repro.features.histogram import OpcodeHistogramExtractor
+
+from oracles import OracleHistogram
 
 #: EIP-1167 minimal proxy for a fixed implementation address — bit-exact
 #: bytecode independent of any RNG, the strongest golden anchor.
@@ -103,7 +105,7 @@ class TestGoldenVectors:
         codes = golden_bytecodes()
         goldens = all_goldens()
         keys = list(codes)
-        extractor = OpcodeHistogramExtractor(use_fast_path=False)
+        extractor = OracleHistogram()
         features = extractor.fit_transform([codes[key] for key in keys])
         names = extractor.feature_names()
         for row, key in enumerate(keys):

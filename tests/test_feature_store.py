@@ -8,6 +8,7 @@ run and produces identical matrices.
 """
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ class TestSingleByteCorruption:
                 BatchFeatureService().load(session.path)
         session.path.write_bytes(pristine)
         BatchFeatureService().load(session.path)  # pristine file still loads
+
+
+    def test_stripped_digest_rejected(self, tmp_path):
+        # Zip CRCs never cover the local header's modification time (offset
+        # 10), so with its digest comment stripped a file damaged there would
+        # load; the digest is therefore required on every file.
+        codes = make_codes(4, seed=21)
+        store = FeatureStore(tmp_path)
+        with store.session(codes) as session:
+            pass
+        with zipfile.ZipFile(session.path, "a") as archive:
+            archive.comment = b""
+        payload = bytearray(session.path.read_bytes())
+        payload[10] ^= 0xFF
+        session.path.write_bytes(bytes(payload))
+        with pytest.raises(CacheLoadError):
+            BatchFeatureService().load(session.path)
+        with store.session(codes) as recovered:
+            pass
+        assert not recovered.warm_start
+        assert recovered.saved
 
 
 class TestDriverWarmStart:

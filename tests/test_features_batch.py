@@ -16,6 +16,8 @@ from repro.features.histogram import (
     opcode_usage_distribution,
 )
 
+from oracles import OracleHistogram, OracleR2D2
+
 
 def make_codes(n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
@@ -215,7 +217,7 @@ class TestResultsInvariance:
 
     def test_extractor_fast_path_matches_legacy(self, bytecodes):
         sample = bytecodes[:30]
-        legacy = OpcodeHistogramExtractor(use_fast_path=False)
+        legacy = OracleHistogram()
         fast = OpcodeHistogramExtractor(service=BatchFeatureService())
         legacy_features = legacy.fit_transform(sample)
         fast_features = fast.fit_transform(sample)
@@ -224,7 +226,7 @@ class TestResultsInvariance:
 
     def test_extractor_fast_path_matches_legacy_normalized(self, bytecodes):
         sample = bytecodes[:20]
-        legacy = OpcodeHistogramExtractor(normalize=True, use_fast_path=False)
+        legacy = OracleHistogram(normalize=True)
         fast = OpcodeHistogramExtractor(normalize=True, service=BatchFeatureService())
         assert np.array_equal(legacy.fit_transform(sample), fast.fit_transform(sample))
 
@@ -304,7 +306,7 @@ class TestRawByteViews:
         service = BatchFeatureService()
         codes = make_codes(4, seed=13) + [b""]
         fast = R2D2ImageEncoder(image_size=8, service=service)
-        legacy = R2D2ImageEncoder(image_size=8, use_fast_path=False)
+        legacy = OracleR2D2(image_size=8)
         assert np.array_equal(fast.transform(codes), legacy.transform(codes))
         for code in codes:
             assert np.array_equal(fast.encode_one(code), legacy.encode_one(code))

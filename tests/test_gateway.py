@@ -41,7 +41,6 @@ import numpy as np
 from repro.analysis import StaticAnalyzer
 from repro.chain import templates
 from repro.chain.rpc import SimulatedEthereumNode
-from repro.core.config import Scale
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
 from repro.monitor.pipeline import MonitorStats
@@ -242,24 +241,6 @@ class TestGatewayConfig:
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GatewayConfig(**kwargs)
-
-    def test_from_scale_reads_gateway_knobs(self):
-        scale = Scale(
-            gateway_max_inflight=9,
-            gateway_rate_limit=3.5,
-            gateway_rate_burst=7,
-            gateway_timeout_s=2.5,
-        )
-        config = GatewayConfig.from_scale(scale)
-        assert config.max_inflight == 9
-        assert config.rate_limit_per_s == 3.5
-        assert config.rate_burst == 7
-        assert config.request_timeout_s == 2.5
-
-    def test_from_scale_accepts_overrides(self):
-        config = GatewayConfig.from_scale(Scale(), port=1234, max_batch_items=3)
-        assert config.port == 1234
-        assert config.max_batch_items == 3
 
     def test_free_port_fixture_binds_requested_port(
         self, service, start_gateway, free_port

@@ -7,7 +7,6 @@ import pytest
 
 from repro.chain.blocks import Block, BlockStream, BlockStreamConfig
 from repro.chain.rpc import SimulatedEthereumNode
-from repro.core.config import Scale
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
 from repro.monitor import (
@@ -375,26 +374,6 @@ class TestMonitorConfig:
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MonitorConfig(**kwargs)
-
-    def test_from_scale_reads_monitor_knobs(self):
-        scale = Scale(
-            monitor_confirmations=5,
-            monitor_poll_blocks=16,
-            monitor_drift_window=128,
-            monitor_drift_alpha=0.01,
-            monitor_start_block=100,
-            monitor_latency_window=256,
-            monitor_known_contracts=64,
-        )
-        config = MonitorConfig.from_scale(scale)
-        assert config.confirmations == 5
-        assert config.poll_blocks == 16
-        assert config.drift_window == 128
-        assert config.drift_alpha == 0.01
-        assert config.start_block == 100
-        assert config.latency_window == 256
-        assert config.known_contracts == 64
-
 
 class TestMonitorPipeline:
     def test_run_scans_confirmed_chain(self, service, node, monitor_config):

@@ -8,7 +8,6 @@ import pytest
 from repro.chain.addresses import create_address
 from repro.chain.blocks import BlockStream, BlockStreamConfig, ContractLabel
 from repro.chain.rpc import SimulatedEthereumNode
-from repro.core.config import Scale
 from repro.features.batch import BatchFeatureService
 from repro.models.hsc import make_random_forest_hsc
 from repro.monitor import (
@@ -386,12 +385,6 @@ class TestMultiChainMonitor:
             anonymous = SimulatedEthereumNode(chain_id=0)
             with pytest.raises(ValueError):
                 MultiChainMonitor(service, [anonymous], config=_config())
-
-    def test_from_scale_reads_multichain_knobs(self):
-        scale = Scale(monitor_chains=5, monitor_poll_blocks=3)
-        config = MultiChainConfig.from_scale(scale)
-        assert config.n_chains == 5
-        assert config.monitor.poll_blocks == 3
 
     def test_aggregate_stats_roll_up(self, detector):
         nodes = _nodes(2)

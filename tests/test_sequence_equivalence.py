@@ -1,10 +1,11 @@
-"""Cross-extractor equivalence harness: fast path vs. legacy per extractor.
+"""Cross-extractor equivalence harness: each extractor vs. its oracle.
 
 Every feature view that consumes the disassembled opcode stream — tokenizer
 (GPT-2/T5), hex n-grams (SCSGuard), frequency images (ViT+Freq) and opcode
-histograms (HSC) — must be bit-identical between its vectorized
-service-backed fast path and its legacy per-instruction path, on both the
-session dataset and randomized adversarial bytecodes.  The harness also pins
+histograms (HSC) — must be bit-identical between the vectorized
+service-backed extractor and the per-instruction ("legacy") reference of
+``oracles.py``, on both the session dataset and randomized adversarial
+bytecodes.  The harness also pins
 the headline property of the shared multi-view service: running *all* views
 over the same contracts disassembles each unique bytecode exactly once.
 """
@@ -19,6 +20,7 @@ from repro.features.image import FrequencyImageEncoder
 from repro.features.ngram import HexNgramEncoder
 from repro.features.tokenizer import OpcodeTokenizer
 
+from oracles import OracleFrequencyImage, OracleHexNgrams, OracleHistogram, OracleTokenizer
 from test_evm_sequence import random_bytecodes
 
 
@@ -46,7 +48,7 @@ class TestTokenizerEquivalence:
         self, service, adversarial_codes, kwargs
     ):
         fast = OpcodeTokenizer(service=service, **kwargs)
-        legacy = OpcodeTokenizer(use_fast_path=False, **kwargs)
+        legacy = OracleTokenizer(**kwargs)
         for code in adversarial_codes:
             assert fast.tokenize(code) == legacy.tokenize(code), code.hex()
             assert np.array_equal(fast.encode_one(code), legacy.encode_one(code))
@@ -62,14 +64,14 @@ class TestTokenizerEquivalence:
     def test_fast_matches_legacy_on_dataset(self, service, bytecodes):
         sample = bytecodes[:25]
         fast = OpcodeTokenizer(max_length=64, service=service)
-        legacy = OpcodeTokenizer(max_length=64, use_fast_path=False)
+        legacy = OracleTokenizer(max_length=64)
         assert np.array_equal(fast.transform(sample), legacy.transform(sample))
 
     @pytest.mark.slow
     def test_fast_matches_legacy_on_large_random_sweep(self, service):
         codes = random_bytecodes(300, seed=77, max_length=2048)
         fast = OpcodeTokenizer(max_length=512, service=service)
-        legacy = OpcodeTokenizer(max_length=512, use_fast_path=False)
+        legacy = OracleTokenizer(max_length=512)
         assert np.array_equal(fast.transform(codes), legacy.transform(codes))
 
 
@@ -80,9 +82,8 @@ class TestNgramEquivalence:
             chars_per_gram=chars_per_gram, max_length=40, max_vocabulary=64,
             service=service,
         )
-        legacy = HexNgramEncoder(
-            chars_per_gram=chars_per_gram, max_length=40, max_vocabulary=64,
-            use_fast_path=False,
+        legacy = OracleHexNgrams(
+            chars_per_gram=chars_per_gram, max_length=40, max_vocabulary=64
         )
         fast.fit(adversarial_codes[:60])
         legacy.fit(adversarial_codes[:60])
@@ -95,29 +96,26 @@ class TestNgramEquivalence:
     def test_fast_matches_legacy_on_dataset(self, service, bytecodes):
         sample = bytecodes[:30]
         fast = HexNgramEncoder(max_length=48, service=service)
-        legacy = HexNgramEncoder(max_length=48, use_fast_path=False)
+        legacy = OracleHexNgrams(max_length=48)
         assert np.array_equal(
             fast.fit_transform(sample), legacy.fit_transform(sample)
         )
         assert fast.vocabulary_ == legacy.vocabulary_
 
-    def test_oversized_grams_fall_back_to_string_path(self, service, adversarial_codes):
-        # 10-byte grams overflow the int64 code space; the encoder must keep
-        # producing legacy-identical output via the string path.
-        fast = HexNgramEncoder(chars_per_gram=20, max_length=8, service=service)
-        legacy = HexNgramEncoder(chars_per_gram=20, max_length=8, use_fast_path=False)
-        fast.fit(adversarial_codes[:20])
-        legacy.fit(adversarial_codes[:20])
-        assert fast.vocabulary_ == legacy.vocabulary_
-        assert np.array_equal(
-            fast.transform(adversarial_codes[:30]), legacy.transform(adversarial_codes[:30])
-        )
+    def test_oversized_grams_rejected(self):
+        # 8-byte grams would overflow the int64 code space the n-gram view
+        # keys grams by; 7 bytes (14 hex characters) is the largest size.
+        HexNgramEncoder(chars_per_gram=14)
+        with pytest.raises(ValueError):
+            HexNgramEncoder(chars_per_gram=16)
+        with pytest.raises(ValueError):
+            HexNgramEncoder(chars_per_gram=20)
 
 
 class TestFrequencyImageEquivalence:
     def test_fast_matches_legacy_on_adversarial_codes(self, service, adversarial_codes):
         fast = FrequencyImageEncoder(image_size=8, service=service)
-        legacy = FrequencyImageEncoder(image_size=8, use_fast_path=False)
+        legacy = OracleFrequencyImage(image_size=8)
         fast.fit(adversarial_codes[:50])
         legacy.fit(adversarial_codes[:50])
         assert fast._mnemonic_encoder.table_ == legacy._mnemonic_encoder.table_
@@ -131,20 +129,18 @@ class TestFrequencyImageEquivalence:
     def test_fast_matches_legacy_on_dataset(self, service, bytecodes):
         sample = bytecodes[:20]
         fast = FrequencyImageEncoder(image_size=6, service=service)
-        legacy = FrequencyImageEncoder(image_size=6, use_fast_path=False)
+        legacy = OracleFrequencyImage(image_size=6)
         assert np.array_equal(
             fast.fit_transform(sample), legacy.fit_transform(sample)
         )
 
     def test_mixed_paths_share_tables(self, service, bytecodes):
-        # A legacy-fitted encoder flipped to the fast path mid-life must
-        # encode identically: the LUTs are built from the fitted tables.
+        # Per-instruction lookups in the encoder's fitted tables must render
+        # the encoder's own images: its LUTs are built from those tables.
         sample = bytecodes[:15]
-        encoder = FrequencyImageEncoder(image_size=6, service=service, use_fast_path=False)
-        encoder.fit(sample)
-        legacy_images = encoder.transform(sample)
-        encoder.use_fast_path = True
-        assert np.array_equal(encoder.transform(sample), legacy_images)
+        encoder = FrequencyImageEncoder(image_size=6, service=service).fit(sample)
+        legacy = OracleFrequencyImage(image_size=6).use_tables(encoder)
+        assert np.array_equal(encoder.transform(sample), legacy.transform(sample))
 
 
 class TestSharedServiceSinglePass:
@@ -195,6 +191,6 @@ class TestSharedServiceSinglePass:
         service = BatchFeatureService()
         service.sequences(sample)  # pre-warm sequences only
         fast = OpcodeHistogramExtractor(service=service)
-        legacy = OpcodeHistogramExtractor(use_fast_path=False)
+        legacy = OracleHistogram()
         assert np.array_equal(fast.fit_transform(sample), legacy.fit_transform(sample))
         assert fast.feature_names() == legacy.feature_names()

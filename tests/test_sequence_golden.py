@@ -4,11 +4,12 @@ Analogous to ``test_feature_golden.py`` for histograms: exact tokenizer
 id-sequences and frequency-image pixel values are pinned for deterministic
 template bytecodes, so any future change to the sequence kernel, the batch
 service or the extractors that silently drifts these features fails loudly
-here.  Both the fast and the legacy path are asserted against the same
-goldens, keeping them anchored to one reference.
+here.  Both the production extractor ("fast") and its per-instruction
+oracle from ``oracles.py`` ("legacy") are asserted against the same goldens,
+keeping them anchored to one reference.
 
 The float literals are exact: Python ``repr`` round-trips IEEE doubles, and
-both paths are required to be bit-identical to them.
+both arms are required to be bit-identical to them.
 """
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.chain.templates import (
 from repro.features.batch import BatchFeatureService
 from repro.features.image import FrequencyImageEncoder
 from repro.features.tokenizer import OpcodeTokenizer
+
+from oracles import OracleFrequencyImage, OracleTokenizer
 
 #: Token ids at max_length=48 (default operand buckets + <cls>), keyed by
 #: (template, rng seed).  The minimal proxy is bit-exact bytecode with no
@@ -96,49 +99,45 @@ def golden_bytecodes():
     return codes
 
 
-@pytest.mark.parametrize("use_fast_path", [True, False], ids=["fast", "legacy"])
+def make_tokenizer(arm: str):
+    if arm == "fast":
+        return OpcodeTokenizer(max_length=48, service=BatchFeatureService())
+    return OracleTokenizer(max_length=48)
+
+
+@pytest.mark.parametrize("arm", ["fast", "legacy"])
 class TestTokenizerGoldens:
-    def test_token_ids_pinned(self, use_fast_path):
+    def test_token_ids_pinned(self, arm):
         codes = golden_bytecodes()
-        tokenizer = OpcodeTokenizer(
-            max_length=48,
-            service=BatchFeatureService() if use_fast_path else None,
-            use_fast_path=use_fast_path,
-        )
+        tokenizer = make_tokenizer(arm)
         for key, code in codes.items():
             assert tokenizer.encode_one(code).tolist() == TOKEN_GOLDENS[key], key
 
-    def test_transform_rows_pinned(self, use_fast_path):
+    def test_transform_rows_pinned(self, arm):
         codes = golden_bytecodes()
         keys = list(codes)
-        tokenizer = OpcodeTokenizer(
-            max_length=48,
-            service=BatchFeatureService() if use_fast_path else None,
-            use_fast_path=use_fast_path,
-        )
+        tokenizer = make_tokenizer(arm)
         matrix = tokenizer.transform([codes[key] for key in keys])
         expected = np.array([TOKEN_GOLDENS[key] for key in keys], dtype=np.int64)
         assert np.array_equal(matrix, expected)
 
 
-@pytest.mark.parametrize("use_fast_path", [True, False], ids=["fast", "legacy"])
+@pytest.mark.parametrize("arm", ["fast", "legacy"])
 class TestFrequencyImageGoldens:
-    def _fitted_encoder(self, use_fast_path):
-        encoder = FrequencyImageEncoder(
-            image_size=4,
-            service=BatchFeatureService() if use_fast_path else None,
-            use_fast_path=use_fast_path,
-        )
-        encoder.fit(list(golden_bytecodes().values()))
-        return encoder
+    def _fitted_encoder(self, arm):
+        if arm == "fast":
+            encoder = FrequencyImageEncoder(image_size=4, service=BatchFeatureService())
+        else:
+            encoder = OracleFrequencyImage(image_size=4)
+        return encoder.fit(list(golden_bytecodes().values()))
 
-    def test_fit_scale_pinned(self, use_fast_path):
-        encoder = self._fitted_encoder(use_fast_path)
+    def test_fit_scale_pinned(self, arm):
+        encoder = self._fitted_encoder(arm)
         assert encoder._scale == IMAGE_GOLDEN_SCALE
 
-    def test_pixels_pinned(self, use_fast_path):
+    def test_pixels_pinned(self, arm):
         codes = golden_bytecodes()
-        encoder = self._fitted_encoder(use_fast_path)
+        encoder = self._fitted_encoder(arm)
         for key, golden in IMAGE_GOLDENS.items():
             image = encoder.encode_one(codes[key])
             assert image.shape == (3, 4, 4)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.chain.rpc import SimulatedEthereumNode
-from repro.core.config import Scale
 from repro.features.batch import BatchFeatureService
 from repro.features.store import FeatureStore
 from repro.models.hsc import make_random_forest_hsc
@@ -80,24 +79,11 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
 
-    def test_from_scale_reads_serving_knobs(self):
-        scale = Scale(
-            serving_max_batch=7,
-            serving_max_wait_ms=1.5,
-            serving_verdict_cache=99,
-            serving_threshold=0.7,
-        )
-        config = ServingConfig.from_scale(scale)
-        assert config.max_batch == 7
-        assert config.max_wait_ms == 1.5
-        assert config.verdict_cache_size == 99
-        assert config.decision_threshold == 0.7
-
-    def test_from_scale_default_adopts_detector_threshold(self, detector):
-        # Scale.serving_threshold defaults to None, which must flow through
-        # from_scale so a tuned detector.decision_threshold is not silently
-        # overridden by a fixed serving default.
-        config = ServingConfig.from_scale(Scale())
+    def test_default_config_adopts_detector_threshold(self, detector):
+        # ServingConfig.decision_threshold defaults to None, so a tuned
+        # detector.decision_threshold is not silently overridden by a fixed
+        # serving default.
+        config = ServingConfig()
         assert config.decision_threshold is None
         detector.decision_threshold = 0.7
         try:
