@@ -20,10 +20,13 @@ analyzer, carry the real verdict.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Tuple
 
 from ..evm.cfg import CfgAnalysis
 from .report import Finding, Severity
+
+if TYPE_CHECKING:
+    from .analyzer import AnalysisConfig
 
 RuleFn = Callable[[CfgAnalysis, object], Iterable[Finding]]
 
@@ -206,9 +209,9 @@ def unresolved_jump(cfg: CfgAnalysis, config) -> Iterator[Finding]:
 
 
 @rule("dead-code")
-def dead_code(cfg: CfgAnalysis, config) -> Iterator[Finding]:
+def dead_code(cfg: CfgAnalysis, config: AnalysisConfig) -> Iterator[Finding]:
     """An outsized terminator-shadowed region no jump can legally enter."""
-    threshold = getattr(config, "dead_ratio", 0.4)
+    threshold = config.dead_ratio
     if cfg.metrics.dead_ratio > threshold:
         yield Finding(
             rule="dead-code",

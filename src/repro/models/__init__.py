@@ -6,7 +6,6 @@ from .escort import (
     ESCORTDetector,
     ESCORTNetwork,
     VULNERABILITY_CLASSES,
-    structural_vulnerability_label,
     vulnerability_label_from_counts,
 )
 from .gpt2 import CausalTransformerClassifier, GPT2Detector
@@ -45,7 +44,6 @@ __all__ = [
     "ESCORTDetector",
     "ESCORTNetwork",
     "VULNERABILITY_CLASSES",
-    "structural_vulnerability_label",
     "vulnerability_label_from_counts",
     "CausalTransformerClassifier",
     "GPT2Detector",

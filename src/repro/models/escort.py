@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..evm.disassembler import Disassembler
 from ..evm.fastcount import MNEMONIC_BINS
 from ..features.batch import BatchFeatureService
 from ..nn.layers import Linear, ReLU, Sequential
@@ -70,25 +69,11 @@ _RULE_MNEMONICS = (
 _RULE_BINS = {name: MNEMONIC_BINS[name] for name in _RULE_MNEMONICS}
 
 
-def structural_vulnerability_label(bytecode, disassembler: Optional[Disassembler] = None) -> int:
-    """Heuristic vulnerability class of a bytecode (pretraining target).
-
-    The classes describe technical code properties and are deliberately
-    orthogonal to the phishing label.
-    """
-    disassembler = disassembler or Disassembler()
-    mnemonics = disassembler.mnemonics(bytecode)
-    counts = {name: mnemonics.count(name) for name in set(mnemonics)}
-    return _vulnerability_class(counts, len(mnemonics))
-
-
 def vulnerability_label_from_counts(count_vector: np.ndarray) -> int:
-    """The same decision rule applied to a 256-bin opcode-count vector.
+    """Heuristic vulnerability class of a contract's 256-bin opcode counts.
 
-    The count view of the shared feature service is pinned bit-identical to
-    the disassembler's instruction stream, so this agrees with
-    :func:`structural_vulnerability_label` on every bytecode while costing
-    only a handful of array reads.
+    This is ESCORT's pretraining target.  The classes describe technical
+    code properties and are deliberately orthogonal to the phishing label.
     """
     counts = {name: int(count_vector[value]) for name, value in _RULE_BINS.items()}
     return _vulnerability_class(counts, int(count_vector.sum()))

@@ -27,7 +27,7 @@ import numpy as np
 from repro.evm.disassembler import Disassembler, normalize_bytecode
 from repro.evm.opcodes import CANONICAL_MNEMONICS
 from repro.ml.preprocessing import FrequencyEncoder
-from repro.models.escort import structural_vulnerability_label
+from repro.models.escort import _vulnerability_class
 
 _DISASSEMBLER = Disassembler()
 
@@ -245,6 +245,16 @@ def escort_embedding(bytecodes: Sequence) -> np.ndarray:
         for byte, count in Counter(code).items():
             features[row, byte] = count / len(code)
     return features
+
+
+def structural_vulnerability_label(bytecode) -> int:
+    """ESCORT's pretraining class of one bytecode, from its mnemonic list.
+
+    Applies production's decision rule to per-mnemonic counts taken from
+    the disassembler instead of from the 256-bin count vector.
+    """
+    mnemonics = _DISASSEMBLER.mnemonics(bytecode)
+    return _vulnerability_class(Counter(mnemonics), len(mnemonics))
 
 
 def escort_vulnerability_targets(bytecodes: Sequence) -> np.ndarray:

@@ -14,11 +14,13 @@ import pytest
 
 from repro.features.batch import (
     CACHE_FILE_MAGIC,
+    CACHE_FILE_VERSION,
     BatchFeatureService,
     CacheLoadError,
     CacheStats,
     CacheWriteError,
 )
+from repro.persist import write_npz
 
 
 def make_codes(n: int, seed: int = 0):
@@ -27,6 +29,30 @@ def make_codes(n: int, seed: int = 0):
         rng.integers(0, 256, size=int(rng.integers(1, 200)), dtype=np.uint8).tobytes()
         for _ in range(n)
     ]
+
+
+def saved_arrays(codes, path):
+    """The payload arrays of a freshly saved cache file, envelope stripped."""
+    populated_service(codes).save(path)
+    with np.load(str(path), allow_pickle=False) as data:
+        return {name: data[name] for name in data.files if name not in ("magic", "version")}
+
+
+def rewrite(path, arrays, *, magic=CACHE_FILE_MAGIC, version=CACHE_FILE_VERSION):
+    """Write tampered ``arrays`` with a valid integrity digest.
+
+    Going through the real writer keeps the whole-file digest intact, so the
+    file gets past the digest check and reaches the check a test targets.
+    """
+    write_npz(path, arrays, magic=magic, version=version)
+
+
+def load_error(path) -> str:
+    with pytest.raises(CacheLoadError) as excinfo:
+        BatchFeatureService().load(path)
+    message = str(excinfo.value)
+    assert "integrity digest" not in message
+    return message
 
 
 def populated_service(codes):
@@ -255,59 +281,43 @@ class TestRejection:
             BatchFeatureService().load(clipped)
 
     def test_wrong_magic_rejected(self, tmp_path):
+        arrays = saved_arrays(make_codes(3, seed=10), tmp_path / "cache.npz")
         path = tmp_path / "other.npz"
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, magic=np.array(["some-other-tool"]))
-        with pytest.raises(CacheLoadError):
-            BatchFeatureService().load(path)
+        rewrite(path, arrays, magic="some-other-tool")
+        assert f"is not a {CACHE_FILE_MAGIC} file" in load_error(path)
 
     def test_stale_version_rejected(self, tmp_path):
-        path = tmp_path / "stale.npz"
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                magic=np.array([CACHE_FILE_MAGIC]),
-                version=np.array([999], dtype=np.int64),
-            )
-        with pytest.raises(CacheLoadError) as excinfo:
-            BatchFeatureService().load(path)
-        assert "stale" in str(excinfo.value)
+        arrays = saved_arrays(make_codes(3, seed=11), tmp_path / "cache.npz")
+        path = tmp_path / "old.npz"
+        rewrite(path, arrays, version=999)
+        assert (
+            f"stale format version 999 (expected {CACHE_FILE_VERSION})"
+            in load_error(path)
+        )
 
     def test_negative_row_indices_rejected(self, tmp_path):
         # A tampered file with a negative row index must not silently attach
         # a view to the wrong bytecode entry via Python negative indexing.
-        codes = make_codes(3, seed=8)
-        path = tmp_path / "cache.npz"
-        populated_service(codes).save(path)
-        for field in ("count_rows", "seq_rows", "ngram_rows"):
-            with np.load(str(path), allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
+        arrays = saved_arrays(make_codes(3, seed=8), tmp_path / "cache.npz")
+        for field, view in (
+            ("count_rows", "counts"), ("seq_rows", "sequences"), ("ngram_rows", "n-grams")
+        ):
             rows = arrays[field].copy()
             rows[0] = -1
-            arrays[field] = rows
             tampered = tmp_path / f"tampered-{field}.npz"
-            with open(tampered, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-            with pytest.raises(CacheLoadError):
-                BatchFeatureService().load(tampered)
+            rewrite(tampered, {**arrays, field: rows})
+            assert f"has malformed {view}" in load_error(tampered)
 
     def test_out_of_range_sequence_values_rejected(self, tmp_path):
-        codes = make_codes(3, seed=9)
-        path = tmp_path / "cache.npz"
-        populated_service(codes).save(path)
+        arrays = saved_arrays(make_codes(3, seed=9), tmp_path / "cache.npz")
         # 0x0C is an undefined byte value: a folded sequence can never carry
         # it, so a file that does is tampered or corrupt.
         for field, bad_value in (("seq_opcodes", 0x0C), ("seq_widths", 64)):
-            with np.load(str(path), allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
             values = arrays[field].copy()
             values[0] = bad_value
-            arrays[field] = values
             tampered = tmp_path / f"tampered-{field}.npz"
-            with open(tampered, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-            with pytest.raises(CacheLoadError):
-                BatchFeatureService().load(tampered)
+            rewrite(tampered, {**arrays, field: values})
+            assert "out-of-range sequence values" in load_error(tampered)
 
     def test_failed_load_leaves_service_usable(self, tmp_path):
         codes = make_codes(3, seed=7)

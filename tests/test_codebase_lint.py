@@ -17,8 +17,9 @@ A small AST pass enforcing three rules across every production module:
 * no ``asyncio.wait_for`` (on Python 3.11 it spawns a Task per call, which
   the gateway paid on every request — use ``async with asyncio.timeout``),
 * no dead knobs: every field of a ``*Config`` or ``Scale`` dataclass is read
-  as an attribute somewhere in ``src/`` outside ``__post_init__`` (a field
-  only validated, or only copied into another config, selects nothing),
+  as an attribute outside ``__post_init__`` in a ``src/`` module that
+  defines or imports that class (a field only validated, or only copied
+  into another config, selects nothing),
 
 plus a ``compileall`` sweep pinning that every module byte-compiles.
 """
@@ -174,26 +175,42 @@ def _attribute_reads(tree: ast.AST, reads: set) -> None:
 
 
 def test_every_config_field_is_read():
+    """A config field must be read where its class is in scope.
+
+    A read counts only in a module that defines the class or imports it by
+    name (a ``TYPE_CHECKING`` import for an annotation counts), so a dead
+    ``port`` or ``name`` field is not excused by an unrelated object's
+    attribute of the same name elsewhere.  Matching is by attribute name
+    within such a module, not by the type of the object read.
+    """
     fields = []
-    reads: set = set()
+    modules = []  # (class names in scope, attribute names read) per module
     for path in _python_sources():
         tree = _parse(path)
+        reads: set = set()
         _attribute_reads(tree, reads)
+        in_scope = set()
         for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                in_scope.update(alias.name for alias in node.names)
             if not (
                 isinstance(node, ast.ClassDef)
                 and (node.name.endswith("Config") or node.name == "Scale")
                 and _is_dataclass(node)
             ):
                 continue
+            in_scope.add(node.name)
             for statement in node.body:
                 if isinstance(statement, ast.AnnAssign) and isinstance(
                     statement.target, ast.Name
                 ):
                     fields.append((_location(path, statement), node.name, statement.target.id))
+        modules.append((in_scope, reads))
     assert len(fields) > 50
     offenders = [
-        f"{location} ({cls}.{name})" for location, cls, name in fields if name not in reads
+        f"{location} ({cls}.{name})"
+        for location, cls, name in fields
+        if not any(cls in in_scope and name in reads for in_scope, reads in modules)
     ]
     assert offenders == [], f"config fields never read in src/: {offenders}"
 

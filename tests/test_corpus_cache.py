@@ -3,6 +3,8 @@
 import pytest
 
 from repro.chain.corpus_cache import (
+    CORPUS_FILE_MAGIC,
+    CORPUS_FILE_VERSION,
     CorpusCacheError,
     config_digest,
     corpus_cache_path,
@@ -11,6 +13,7 @@ from repro.chain.corpus_cache import (
     save_corpus,
 )
 from repro.chain.generator import ContractCorpusGenerator, CorpusConfig
+from repro.persist import write_npz
 
 TINY = CorpusConfig(n_phishing=14, n_benign=10, seed=3, hard_fraction=0.2)
 
@@ -96,16 +99,24 @@ class TestRejection:
         path = tmp_path / "corpus.npz"
         save_corpus(corpus, path)
         with np.load(str(path), allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
+            arrays = {
+                name: data[name]
+                for name in data.files
+                if name not in ("magic", "version")
+            }
         lengths = arrays["code_lengths"].copy()
         lengths[0] -= 5
         lengths[1] += 5
         arrays["code_lengths"] = lengths
+        # Written through the real writer, so the whole-file digest holds
+        # and only the payload digest can reject the file.
         tampered = tmp_path / "tampered.npz"
-        with open(tampered, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        with pytest.raises(CorpusCacheError):
+        write_npz(
+            tampered, arrays, magic=CORPUS_FILE_MAGIC, version=CORPUS_FILE_VERSION
+        )
+        with pytest.raises(CorpusCacheError) as excinfo:
             load_corpus(tampered, TINY)
+        assert "has a corrupt payload" in str(excinfo.value)
 
     def test_truncated_file_rejected(self, tmp_path):
         corpus = ContractCorpusGenerator(TINY).generate()

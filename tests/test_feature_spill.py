@@ -17,10 +17,12 @@ from repro.evm.cfg import cfg_metrics_vector
 from repro.evm.fastcount import count_opcodes, opcode_sequence
 from repro.features.batch import (
     BatchFeatureService,
+    CacheLoadError,
     SPILL_FILE_MAGIC,
     SPILL_FILE_VERSION,
     content_key,
 )
+from repro.persist import open_validated_npz, write_npz
 
 
 def make_codes(n: int, seed: int = 0):
@@ -193,10 +195,23 @@ class TestEvictionSpills:
         service.count_vector(b)  # spills a
         path = tmp_path / f"spill-{content_key(a).hex()}.npz"
         with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["version"] = np.array([SPILL_FILE_VERSION - 1], dtype=np.int64)
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
+            arrays = {
+                name: data[name]
+                for name in data.files
+                if name not in ("magic", "version")
+            }
+        write_npz(path, arrays, magic=SPILL_FILE_MAGIC, version=SPILL_FILE_VERSION - 1)
+        # The digest and magic hold: only the version check rejects the file.
+        with pytest.raises(CacheLoadError) as excinfo:
+            with open_validated_npz(
+                path,
+                magic=SPILL_FILE_MAGIC,
+                version=SPILL_FILE_VERSION,
+                required=set(arrays),
+                error=CacheLoadError,
+            ):
+                pass
+        assert "stale format version" in str(excinfo.value)
         passes = service.kernel_passes
         assert np.array_equal(service.count_vector(a), count_opcodes(a))
         assert service.kernel_passes == passes + 1

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.models.base import ModelCategory, validate_labels
-from repro.models.escort import ESCORTDetector, VULNERABILITY_CLASSES, structural_vulnerability_label
+from repro.models.escort import (
+    ESCORTDetector,
+    VULNERABILITY_CLASSES,
+    vulnerability_label_from_counts,
+)
 from repro.models.gpt2 import GPT2Detector
 from repro.models.hsc import HSC_FACTORIES, make_random_forest_hsc
 from repro.models.registry import (
@@ -20,6 +24,9 @@ from repro.models.scsguard import SCSGuardDetector
 from repro.models.t5 import T5Detector
 from repro.models.vision import make_eca_efficientnet, make_vit_freq, make_vit_r2d2
 from repro.evm.assembler import assemble, push
+from repro.evm.fastcount import count_opcodes
+
+from oracles import structural_vulnerability_label
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +149,16 @@ class TestDeepDetectors:
 
 class TestESCORT:
     def test_structural_labels_cover_classes(self, bytecodes):
-        labels = {structural_vulnerability_label(code) for code in bytecodes[:80]}
-        assert labels <= set(range(len(VULNERABILITY_CLASSES)))
-        assert len(labels) >= 2
+        labels = [vulnerability_label_from_counts(count_opcodes(code)) for code in bytecodes[:80]]
+        assert labels == [structural_vulnerability_label(code) for code in bytecodes[:80]]
+        assert set(labels) <= set(range(len(VULNERABILITY_CLASSES)))
+        assert len(set(labels)) >= 2
 
     def test_delegatecall_class(self):
         code = assemble([push(0, 1)] * 6 + ["GAS", "DELEGATECALL", "STOP"])
-        assert VULNERABILITY_CLASSES[structural_vulnerability_label(code)] == "delegatecall_injection"
+        label = vulnerability_label_from_counts(count_opcodes(code))
+        assert VULNERABILITY_CLASSES[label] == "delegatecall_injection"
+        assert structural_vulnerability_label(code) == label
 
     def test_escort_transfer_learning_is_weak(self, split):
         # The paper's negative result: ESCORT's frozen vulnerability features
